@@ -9,18 +9,15 @@ from .arith import (
     ENUMERATION_BOUND,
     Factorization,
     Sieve,
-    TotativeSet,
     coprime_residues,
     divisors,
     factorize,
-    gcd,
     moebius,
     omega,
     radical,
     squarefree_divisors,
     totatives,
     totient,
-    valuation,
 )
 from .dedekind import (
     DEFAULT_NAIVE_BOUND,
@@ -33,18 +30,7 @@ from .dedekind import (
     sawtooth,
 )
 from .errors import DomainError, InvariantViolation, ResourceLimitError
-from .rational import (
-    Rational,
-    format_rational,
-    parse_rational,
-    rat_add,
-    rat_div,
-    rat_floor,
-    rat_frac,
-    rat_mul,
-    rat_sub,
-    rational,
-)
+from .rational import format_rational, parse_rational, rat_frac
 from .spence import (
     CHAIN_IDENTITIES,
     IdentityResult,
@@ -75,10 +61,8 @@ __all__ = [
     "Factorization",
     "IdentityResult",
     "InvariantViolation",
-    "Rational",
     "ResourceLimitError",
     "Sieve",
-    "TotativeSet",
     "VerificationReport",
     "coprime_residues",
     "dedekind_fast",
@@ -89,7 +73,6 @@ __all__ = [
     "divisors",
     "factorize",
     "format_rational",
-    "gcd",
     "moebius",
     "mobius_transform_sum",
     "naive_bound",
@@ -98,13 +81,7 @@ __all__ = [
     "omega",
     "parse_rational",
     "radical",
-    "rat_add",
-    "rat_div",
-    "rat_floor",
     "rat_frac",
-    "rat_mul",
-    "rat_sub",
-    "rational",
     "reciprocity_rhs",
     "run_suite",
     "s_closed_form",
@@ -118,6 +95,5 @@ __all__ = [
     "theta",
     "totatives",
     "totient",
-    "valuation",
     "verify_chain",
 ]

@@ -2,9 +2,10 @@
 
 Covers everything the identity chain needs from elementary number theory:
 prime factorization, the Moebius function, Euler's totient, the count and
-product of distinct prime factors, divisor enumeration, totatives, and
-p-adic valuations.  A smallest-prime-factor sieve amortizes factorization
-across bulk verification ranges.
+product of distinct prime factors, divisor enumeration and totatives.  Code
+that needs only the distinct primes of n gets them from `distinct_primes`,
+which reads a smallest-prime-factor sieve when one covers n, so bulk
+verification ranges amortize factorization.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from .errors import DomainError, ResourceLimitError
 #: as an exactness guarantee for the vectorized int64 reductions used by the
 #: bulk verifiers: every dot product taken over the residues of n is a sum of
 #: fewer than n terms, each below n**2, so it stays under 2**63 whenever
-#: n <= 2_000_000.
+#: n <= 2_000_000.  It is therefore a constant, not a per-call argument.
 ENUMERATION_BOUND = 2_000_000
-
-gcd = math.gcd
 
 
 @dataclass(frozen=True)
@@ -48,24 +47,6 @@ class Factorization:
 
     def __iter__(self):
         return iter(self.pairs)
-
-
-@dataclass(frozen=True)
-class TotativeSet:
-    """The ascending integers a with 1 <= a < n and gcd(a, n) = 1.
-
-    For n = 1 the set is (1,) by convention; the totative-sum formulas in
-    the spence module reject n = 1 outright rather than extend to it.
-    """
-
-    n: int
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 def factorize(n: int) -> Factorization:
@@ -103,25 +84,34 @@ def moebius(n: int) -> int:
     return -1 if len(fact.pairs) % 2 else 1
 
 
-def totient(n: int) -> int:
-    """Euler's phi: the number of totatives of n."""
+def distinct_primes(n: int, sieve: Sieve | None = None) -> tuple[int, ...]:
+    """Ascending distinct primes of n: from `sieve` when it covers n, else by trial division."""
+    if sieve is not None and n <= sieve.limit:
+        return sieve.distinct_primes(n)
+    return factorize(n).distinct_primes()
+
+
+def totient_from_primes(n: int, primes: Sequence[int]) -> int:
+    """Euler's phi of n, given the distinct primes of n."""
     out = n
-    for p, _ in factorize(n):
+    for p in primes:
         out = out // p * (p - 1)
     return out
 
 
+def totient(n: int) -> int:
+    """Euler's phi: the number of totatives of n."""
+    return totient_from_primes(n, distinct_primes(n))
+
+
 def omega(n: int) -> int:
     """Number of distinct prime factors (0 for n = 1)."""
-    return len(factorize(n).pairs)
+    return len(distinct_primes(n))
 
 
 def radical(n: int) -> int:
     """Product of the distinct primes dividing n; the square-free part (1 for n = 1)."""
-    out = 1
-    for p, _ in factorize(n):
-        out *= p
-    return out
+    return math.prod(distinct_primes(n))
 
 
 def divisors(n: int) -> list[int]:
@@ -138,7 +128,7 @@ def squarefree_divisors(n: int) -> list[tuple[int, int]]:
     These are exactly the divisors with a nonzero Moebius weight, so a sum of
     mu(d) * g(d) over all divisors may be taken over this list alone.
     """
-    return squarefree_divisors_from(factorize(n).distinct_primes())
+    return squarefree_divisors_from(distinct_primes(n))
 
 
 def squarefree_divisors_from(primes: Sequence[int]) -> list[tuple[int, int]]:
@@ -150,25 +140,7 @@ def squarefree_divisors_from(primes: Sequence[int]) -> list[tuple[int, int]]:
     return divs
 
 
-def valuation(p: int, n: int) -> int:
-    """p-adic valuation: the exponent of the prime p in n."""
-    if p < 2 or factorize(p).pairs != ((p, 1),):
-        raise DomainError(f"valuation requires a prime base, got {p}")
-    if n < 1:
-        raise DomainError(f"valuation requires n >= 1, got {n}")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def coprime_residues(
-    n: int,
-    primes: Sequence[int] | None = None,
-    *,
-    bound: int | None = None,
-) -> np.ndarray:
+def coprime_residues(n: int, primes: Sequence[int] | None = None) -> np.ndarray:
     """Ascending int64 array of the totatives of n ((1,) for n = 1).
 
     Sieves multiples of each distinct prime of n out of [1, n).  `primes`
@@ -176,15 +148,14 @@ def coprime_residues(
     """
     if n < 1:
         raise DomainError(f"totatives require n >= 1, got {n}")
-    limit = bound if bound is not None else ENUMERATION_BOUND
-    if n > limit:
+    if n > ENUMERATION_BOUND:
         raise ResourceLimitError(
-            f"totative enumeration bound exceeded: n={n} > {limit}"
+            f"totative enumeration bound exceeded: n={n} > {ENUMERATION_BOUND}"
         )
     if n == 1:
         return np.ones(1, dtype=np.int64)
     if primes is None:
-        primes = factorize(n).distinct_primes()
+        primes = distinct_primes(n)
     mask = np.ones(n, dtype=bool)
     mask[0] = False
     for p in primes:
@@ -192,17 +163,16 @@ def coprime_residues(
     return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
-def totatives(n: int, *, bound: int | None = None) -> TotativeSet:
-    """The ascending TotativeSet of n; its length equals totient(n)."""
-    residues = coprime_residues(n, bound=bound)
-    return TotativeSet(n=n, members=tuple(residues.tolist()))
+def totatives(n: int) -> list[int]:
+    """The ascending totatives of n ([1] for n = 1); the length is totient(n)."""
+    return coprime_residues(n).tolist()
 
 
 class Sieve:
     """Smallest-prime-factor table over [0, limit].
 
-    Build once, then factor any 1 <= n <= limit in O(log n); meant to be
-    shared read-only across range verifications (and across worker
+    Build once, then read the distinct primes of any 1 <= n <= limit in
+    O(log n); meant to be shared read-only across range verifications (and across worker
     processes, which each build their own copy).
     """
 
@@ -218,25 +188,9 @@ class Sieve:
                         spf[j] = i
         self._spf = spf
 
-    def _check(self, n: int) -> None:
+    def distinct_primes(self, n: int) -> tuple[int, ...]:
         if not 1 <= n <= self.limit:
             raise DomainError(f"n={n} outside sieve range [1, {self.limit}]")
-
-    def factorize(self, n: int) -> Factorization:
-        self._check(n)
-        spf = self._spf
-        pairs = []
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            pairs.append((p, e))
-        return Factorization(tuple(pairs))
-
-    def distinct_primes(self, n: int) -> tuple[int, ...]:
-        self._check(n)
         spf = self._spf
         primes = []
         while n > 1:
@@ -245,18 +199,3 @@ class Sieve:
             while n % p == 0:
                 n //= p
         return tuple(primes)
-
-    def totient(self, n: int) -> int:
-        out = n
-        for p in self.distinct_primes(n):
-            out = out // p * (p - 1)
-        return out
-
-    def moebius(self, n: int) -> int:
-        fact = self.factorize(n)
-        if any(e >= 2 for _, e in fact):
-            return 0
-        return -1 if len(fact.pairs) % 2 else 1
-
-    def radical(self, n: int) -> int:
-        return math.prod(self.distinct_primes(n))

@@ -48,9 +48,14 @@ def lcg_states(seed: int) -> Iterator[int]:
 
 
 def generate_pairs(count: int, max_a: int, seed: int) -> list[tuple[int, int]]:
-    """Deterministic (b, a) pairs with 1 <= b, a <= max_a."""
-    if count < 1 or max_a < 1:
-        raise DomainError(f"need count >= 1 and max_a >= 1, got ({count}, {max_a})")
+    """Deterministic (b, a) pairs with 1 <= b, a <= max_a.
+
+    Each value is drawn from one 64-bit state, so max_a may not exceed 2**64.
+    """
+    if count < 1 or not 1 <= max_a <= 1 << 64:
+        raise DomainError(
+            f"need count >= 1 and 1 <= max_a <= 2**64, got ({count}, {max_a})"
+        )
     states = lcg_states(seed)
     return [(1 + next(states) % max_a, 1 + next(states) % max_a) for _ in range(count)]
 
@@ -60,14 +65,12 @@ def depth_ceiling(max_a: int) -> int:
     return int(2 * math.log(max(max_a, 2), _PHI)) + 2
 
 
-def run_bench(
-    count: int, max_a: int, seed: int, *, naive_cap: int | None = None
-) -> list[BenchRow]:
+def run_bench(count: int, max_a: int, seed: int) -> list[BenchRow]:
     """Time both evaluators on `count` generated pairs and compare values."""
     rows = []
     for b, a in generate_pairs(count, max_a, seed):
         t0 = time.perf_counter()
-        slow = dedekind_naive(b, a, bound=naive_cap)
+        slow = dedekind_naive(b, a)
         t1 = time.perf_counter()
         fast, depth = dedekind_fast_with_depth(b, a)
         t2 = time.perf_counter()

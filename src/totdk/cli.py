@@ -1,4 +1,4 @@
-"""Command-line front end: single evaluations, range verification, benchmarks.
+"""Command-line front end: single exact values, range verification, benchmarks.
 
 Exit codes: 0 success, 2 usage error, 3 domain/resource error, 4 correctness
 failure (a verification mismatch, or the benchmark catching the two
@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="totdk",
         description=(
-            "Exact evaluation and verification of Spence's totative-sum "
+            "Exact computation and verification of Spence's totative-sum "
             "formula and the Dedekind-sum identities behind it."
         ),
     )
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"lift the default range cap of {DEFAULT_RANGE_CAP}",
     )
 
-    p_bench = sub.add_parser("bench", help="time naive vs fast Dedekind evaluation")
+    p_bench = sub.add_parser("bench", help="time the naive and fast Dedekind evaluators")
     p_bench.add_argument("--pairs", type=int, required=True)
     p_bench.add_argument("--max-a", dest="max_a", type=int, required=True)
     p_bench.add_argument("--seed", type=int, default=1)

@@ -32,16 +32,20 @@ NAIVE_BOUND_ENV = "TOTDK_NAIVE_BOUND"
 
 
 def naive_bound() -> int:
-    """Configured cap for dedekind_naive (env override, else the default)."""
+    """Cap on the modulus of dedekind_naive: the env override, else the default.
+
+    The environment variable is the only way to set it.
+    """
     raw = os.environ.get(NAIVE_BOUND_ENV)
     if raw is None or not raw.strip():
         return DEFAULT_NAIVE_BOUND
     try:
-        return int(raw)
+        value = int(raw)
+        if value >= 1:
+            return value
     except ValueError:
-        raise DomainError(
-            f"{NAIVE_BOUND_ENV} must be an integer, got {raw!r}"
-        ) from None
+        pass
+    raise DomainError(f"{NAIVE_BOUND_ENV} must be an integer >= 1, got {raw!r}")
 
 
 def sawtooth(x: Fraction | int) -> Fraction:
@@ -58,7 +62,7 @@ def _require_valid(b: int, a: int) -> None:
         raise DomainError(f"Dedekind sum requires a >= 1 and b >= 0, got ({b}, {a})")
 
 
-def dedekind_naive(b: int, a: int, *, bound: int | None = None) -> Fraction:
+def dedekind_naive(b: int, a: int) -> Fraction:
     """s(b, a) summed term by term from the definition; O(a).
 
     Each nonzero term equals ((k*b/a)) * ((k/a)) written over the common
@@ -67,7 +71,7 @@ def dedekind_naive(b: int, a: int, *, bound: int | None = None) -> Fraction:
     swallows the k = a term).  Accumulation is pure integer arithmetic.
     """
     _require_valid(b, a)
-    limit = bound if bound is not None else naive_bound()
+    limit = naive_bound()
     if a > limit:
         raise ResourceLimitError(f"naive Dedekind bound exceeded: a={a} > {limit}")
     step = b % a

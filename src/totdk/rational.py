@@ -13,38 +13,6 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-Rational = Fraction
-
-
-def rational(p: int, q: int = 1) -> Fraction:
-    """Build p/q reduced to lowest terms with positive denominator."""
-    if q == 0:
-        raise DomainError("zero denominator")
-    return Fraction(p, q)
-
-
-def rat_add(a: Fraction, b: Fraction) -> Fraction:
-    return a + b
-
-
-def rat_sub(a: Fraction, b: Fraction) -> Fraction:
-    return a - b
-
-
-def rat_mul(a: Fraction, b: Fraction) -> Fraction:
-    return a * b
-
-
-def rat_div(a: Fraction, b: Fraction) -> Fraction:
-    if b == 0:
-        raise DomainError("division by zero")
-    return a / b
-
-
-def rat_floor(x: Fraction | int) -> int:
-    """Floor toward minus infinity, so rat_frac stays in [0, 1)."""
-    return math.floor(x)
-
 
 def rat_frac(x: Fraction | int) -> Fraction:
     """Fractional part x - floor(x), always in [0, 1)."""

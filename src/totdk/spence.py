@@ -37,14 +37,15 @@ import numpy as np
 from .arith import (
     Sieve,
     coprime_residues,
-    factorize,
+    distinct_primes,
     squarefree_divisors_from,
+    totient_from_primes,
 )
 from .dedekind import dedekind_fast
 from .errors import DomainError, InvariantViolation
 from .rational import format_rational
 
-#: Stable tags for the links checked by verify_chain, in evaluation order.
+#: Stable tags for the links checked by verify_chain, in the order computed.
 CHAIN_IDENTITIES = (
     "theta_reindex",
     "theta_split",
@@ -76,19 +77,6 @@ class IdentityResult:
         }
 
 
-def _distinct_primes(n: int, sieve: Sieve | None) -> tuple[int, ...]:
-    if sieve is not None and n <= sieve.limit:
-        return sieve.distinct_primes(n)
-    return factorize(n).distinct_primes()
-
-
-def _totient_from(n: int, primes: Sequence[int]) -> int:
-    out = n
-    for p in primes:
-        out = out // p * (p - 1)
-    return out
-
-
 def _require_n_ge_1(n: int) -> None:
     if n < 1:
         raise DomainError(f"requires n >= 1, got {n}")
@@ -106,7 +94,7 @@ def theta(n: int, x: Fraction | int, *, sieve: Sieve | None = None) -> int:
     """
     _require_n_ge_1(n)
     x = Fraction(x)
-    return sum(mu * (x // d) for d, mu in squarefree_divisors_from(_distinct_primes(n, sieve)))
+    return sum(mu * (x // d) for d, mu in squarefree_divisors_from(distinct_primes(n, sieve)))
 
 
 def nu(n: int, x: Fraction | int, *, sieve: Sieve | None = None) -> Fraction:
@@ -114,20 +102,41 @@ def nu(n: int, x: Fraction | int, *, sieve: Sieve | None = None) -> Fraction:
     _require_n_ge_1(n)
     x = Fraction(x)
     total = Fraction(0)
-    for d, mu in squarefree_divisors_from(_distinct_primes(n, sieve)):
+    for d, mu in squarefree_divisors_from(distinct_primes(n, sieve)):
         q = x / d
         total += mu * (q - math.floor(q))
     return total
 
 
-def sum_j_aj_bruteforce(
-    n: int, *, sieve: Sieve | None = None, bound: int | None = None
-) -> int:
-    """sum(j * a_j) over the ascending totatives of n, by direct enumeration."""
-    _require_n_ge_2(n)
-    residues = coprime_residues(n, _distinct_primes(n, sieve), bound=bound)
+# Residue kernels: exact int64 reductions over the ascending totatives of n.
+# coprime_residues refuses n > ENUMERATION_BOUND, which keeps them exact.
+
+
+def _sum_j_aj(residues: np.ndarray) -> int:
     ranks = np.arange(1, len(residues) + 1, dtype=np.int64)
     return int(ranks @ residues)
+
+
+def _sum_squares(residues: np.ndarray) -> int:
+    return int(residues @ residues)
+
+
+def _nu_weighted_sum(residues: np.ndarray, primes: Sequence[int]) -> Fraction:
+    # frac(a/d) = (a mod d) / d for integer a, so the sum is assembled over the
+    # common denominator m = radical(n) in integer arithmetic; d = 1 adds 0.
+    m = math.prod(primes)
+    numerator = sum(
+        mu * (m // d) * int((residues % d) @ residues)
+        for d, mu in squarefree_divisors_from(primes)
+        if d > 1
+    )
+    return Fraction(numerator, m)
+
+
+def sum_j_aj_bruteforce(n: int, *, sieve: Sieve | None = None) -> int:
+    """sum(j * a_j) over the ascending totatives of n, by direct enumeration."""
+    _require_n_ge_2(n)
+    return _sum_j_aj(coprime_residues(n, distinct_primes(n, sieve)))
 
 
 def spence_closed_form(n: int, *, sieve: Sieve | None = None) -> int:
@@ -137,8 +146,8 @@ def spence_closed_form(n: int, *, sieve: Sieve | None = None) -> int:
     integrality is asserted, not assumed.
     """
     _require_n_ge_2(n)
-    primes = _distinct_primes(n, sieve)
-    phi_n = _totient_from(n, primes)
+    primes = distinct_primes(n, sieve)
+    phi_n = totient_from_primes(n, primes)
     phi_m = math.prod(p - 1 for p in primes)
     w = len(primes)
     sign = -1 if w % 2 else 1
@@ -153,8 +162,8 @@ def spence_closed_form(n: int, *, sieve: Sieve | None = None) -> int:
 def sum_squares_totatives(n: int, *, sieve: Sieve | None = None) -> int:
     """Closed form phi(n)/6 * (2*n*n + m*(-1)^omega(m)) for sum(a^2) over U(n)."""
     _require_n_ge_2(n)
-    primes = _distinct_primes(n, sieve)
-    phi_n = _totient_from(n, primes)
+    primes = distinct_primes(n, sieve)
+    phi_n = totient_from_primes(n, primes)
     m = math.prod(primes)
     sign = -1 if len(primes) % 2 else 1
     numerator = phi_n * (2 * n * n + m * sign)
@@ -165,13 +174,10 @@ def sum_squares_totatives(n: int, *, sieve: Sieve | None = None) -> int:
     return numerator // 6
 
 
-def sum_squares_totatives_bruteforce(
-    n: int, *, sieve: Sieve | None = None, bound: int | None = None
-) -> int:
+def sum_squares_totatives_bruteforce(n: int, *, sieve: Sieve | None = None) -> int:
     """sum(a^2) over U(n) by direct enumeration; twin oracle of the closed form."""
     _require_n_ge_2(n)
-    residues = coprime_residues(n, _distinct_primes(n, sieve), bound=bound)
-    return int(residues @ residues)
+    return _sum_squares(coprime_residues(n, distinct_primes(n, sieve)))
 
 
 def mobius_transform_sum(n: int, f: Callable[[int], Fraction | int]):
@@ -181,30 +187,17 @@ def mobius_transform_sum(n: int, f: Callable[[int], Fraction | int]):
     """
     _require_n_ge_1(n)
     total = 0
-    for d, mu in squarefree_divisors_from(factorize(n).distinct_primes()):
+    for d, mu in squarefree_divisors_from(distinct_primes(n)):
         inner = sum(f(d * k) for k in range(1, n // d + 1))
         total += mu * inner
     return total
 
 
-def nu_weighted_sum_bruteforce(
-    n: int, *, sieve: Sieve | None = None, bound: int | None = None
-) -> Fraction:
-    """sum(nu(n, a) * a) over U(n), exact.
-
-    For integer a, frac(a/d) = (a mod d) / d, so the sum is assembled over
-    the common denominator m = radical(n) in pure integer arithmetic.
-    """
+def nu_weighted_sum_bruteforce(n: int, *, sieve: Sieve | None = None) -> Fraction:
+    """sum(nu(n, a) * a) over U(n), exact, by direct enumeration."""
     _require_n_ge_2(n)
-    primes = _distinct_primes(n, sieve)
-    residues = coprime_residues(n, primes, bound=bound)
-    m = math.prod(primes)
-    numerator = 0
-    for d, mu in squarefree_divisors_from(primes):
-        if d == 1:
-            continue  # frac(a/1) = 0
-        numerator += mu * (m // d) * int((residues % d) @ residues)
-    return Fraction(numerator, m)
+    primes = distinct_primes(n, sieve)
+    return _nu_weighted_sum(coprime_residues(n, primes), primes)
 
 
 def s_double_sum(n: int, *, sieve: Sieve | None = None) -> Fraction:
@@ -214,7 +207,7 @@ def s_double_sum(n: int, *, sieve: Sieve | None = None) -> Fraction:
     mu = 0 contribute nothing and are skipped.
     """
     _require_n_ge_2(n)
-    sq = squarefree_divisors_from(_distinct_primes(n, sieve))
+    sq = squarefree_divisors_from(distinct_primes(n, sieve))
     total = Fraction(0)
     for d1, mu1 in sq:
         for d2, mu2 in sq:
@@ -225,8 +218,8 @@ def s_double_sum(n: int, *, sieve: Sieve | None = None) -> Fraction:
 def s_closed_form(n: int, *, sieve: Sieve | None = None) -> Fraction:
     """S(n) in closed form: phi(n)/24 * (2*(-1)^omega(m)*phi(m) + 2^omega(n))."""
     _require_n_ge_2(n)
-    primes = _distinct_primes(n, sieve)
-    phi_n = _totient_from(n, primes)
+    primes = distinct_primes(n, sieve)
+    phi_n = totient_from_primes(n, primes)
     phi_m = math.prod(p - 1 for p in primes)
     sign = -1 if len(primes) % 2 else 1
     return Fraction(phi_n * (2 * sign * phi_m + (1 << len(primes))), 24)
@@ -235,7 +228,7 @@ def s_closed_form(n: int, *, sieve: Sieve | None = None) -> Fraction:
 def delange_double_sum(n: int, *, sieve: Sieve | None = None) -> Fraction:
     """sum(mu(d1) mu(d2) * d1*d2/n^2 * gcd(n/d1, n/d2)^2) over divisor pairs."""
     _require_n_ge_1(n)
-    sq = squarefree_divisors_from(_distinct_primes(n, sieve))
+    sq = squarefree_divisors_from(distinct_primes(n, sieve))
     numerator = 0
     for d1, mu1 in sq:
         for d2, mu2 in sq:
@@ -245,15 +238,13 @@ def delange_double_sum(n: int, *, sieve: Sieve | None = None) -> Fraction:
 
 
 def delange_closed_form(n: int, *, sieve: Sieve | None = None) -> Fraction:
-    """Delange's evaluation of the gcd double sum: 2^omega(n) * phi(n) / n."""
+    """Delange's closed form for the gcd double sum: 2^omega(n) * phi(n) / n."""
     _require_n_ge_1(n)
-    primes = _distinct_primes(n, sieve)
-    return Fraction((1 << len(primes)) * _totient_from(n, primes), n)
+    primes = distinct_primes(n, sieve)
+    return Fraction((1 << len(primes)) * totient_from_primes(n, primes), n)
 
 
-def verify_chain(
-    n: int, *, sieve: Sieve | None = None, bound: int | None = None
-) -> list[IdentityResult]:
+def verify_chain(n: int, *, sieve: Sieve | None = None) -> list[IdentityResult]:
     """Exactly compare both sides of every link of the proof chain at n.
 
     Links are reported individually (never fail-fast) so a broken identity
@@ -269,20 +260,17 @@ def verify_chain(
       spence_formula       sum(j * a_j) vs the full closed form
     """
     _require_n_ge_2(n)
-    primes = _distinct_primes(n, sieve)
-    residues = coprime_residues(n, primes, bound=bound)
+    primes = distinct_primes(n, sieve)
+    residues = coprime_residues(n, primes)
     phi_n = len(residues)
-    m = math.prod(primes)
-    sq = squarefree_divisors_from(primes)
 
-    ranks = np.arange(1, phi_n + 1, dtype=np.int64)
-    jaj = int(ranks @ residues)
-    theta_weighted = sum(mu * int((residues // d) @ residues) for d, mu in sq)
-    sum_sq = int(residues @ residues)
-    nu_weighted = Fraction(
-        sum(mu * (m // d) * int((residues % d) @ residues) for d, mu in sq if d > 1),
-        m,
+    jaj = _sum_j_aj(residues)
+    theta_weighted = sum(
+        mu * int((residues // d) @ residues)
+        for d, mu in squarefree_divisors_from(primes)
     )
+    sum_sq = _sum_squares(residues)
+    nu_weighted = _nu_weighted_sum(residues, primes)
     s_dbl = s_double_sum(n, sieve=sieve)
 
     def link(tag: str, lhs, rhs) -> IdentityResult:

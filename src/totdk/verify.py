@@ -100,9 +100,7 @@ def check_spence(n: int, sieve: Sieve | None = None) -> list[IdentityResult]:
     return [IdentityResult(n, "spence_formula", lhs, rhs, lhs == rhs)]
 
 
-def check_dedekind(
-    n: int, b_max: int, *, naive_cap: int | None = None
-) -> list[IdentityResult]:
+def check_dedekind(n: int, b_max: int) -> list[IdentityResult]:
     """Compare dedekind_fast(b, n) with dedekind_naive(b, n) for b = 1..b_max.
 
     Only mismatching pairs are materialized as results; a fully matching
@@ -111,7 +109,7 @@ def check_dedekind(
     failures = []
     for b in range(1, b_max + 1):
         fast = dedekind_fast(b, n)
-        slow = dedekind_naive(b, n, bound=naive_cap)
+        slow = dedekind_naive(b, n)
         if fast != slow:
             failures.append(
                 IdentityResult(n, f"dedekind_fast_vs_naive(b={b})", fast, slow, False)
@@ -120,44 +118,36 @@ def check_dedekind(
 
 
 def _suite_failures(
-    suite: str, n: int, sieve: Sieve | None, b_max: int, naive_cap: int | None
+    suite: str, n: int, sieve: Sieve | None, b_max: int
 ) -> list[IdentityResult]:
     if suite == "spence":
         results = check_spence(n, sieve)
     elif suite == "chain":
         results = verify_chain(n, sieve=sieve)
     elif suite == "dedekind":
-        results = check_dedekind(n, b_max, naive_cap=naive_cap)
+        results = check_dedekind(n, b_max)
     elif suite == "all":
-        results = verify_chain(n, sieve=sieve) + check_dedekind(
-            n, b_max, naive_cap=naive_cap
-        )
+        results = verify_chain(n, sieve=sieve) + check_dedekind(n, b_max)
     else:
         raise DomainError(f"unknown suite: {suite}")
     return [r for r in results if not r.matched]
 
 
 def _run_shard(args: tuple) -> tuple[int, list[IdentityResult]]:
-    suite, start, end, b_max, naive_cap = args
+    suite, start, end, b_max = args
     sieve = Sieve(end) if suite in ("spence", "chain", "all") else None
     failures: list[IdentityResult] = []
     for n in range(start, end + 1):
-        failures.extend(_suite_failures(suite, n, sieve, b_max, naive_cap))
+        failures.extend(_suite_failures(suite, n, sieve, b_max))
     return end - start + 1, failures
 
 
 def run_suite(
-    suite: str,
-    start: int,
-    end: int,
-    *,
-    workers: int = 1,
-    b_max: int | None = None,
-    naive_cap: int | None = None,
+    suite: str, start: int, end: int, *, workers: int = 1
 ) -> VerificationReport:
     """Run `suite` over [start, end], sharding across `workers` processes.
 
-    b_max (dedekind suites) defaults to the range end, so a [1, B] run
+    The dedekind suites check b = 1..end for every a = n, so a [1, B] run
     covers the full B x B fast-vs-naive grid.
     """
     if suite not in SUITES:
@@ -171,14 +161,20 @@ def run_suite(
         raise DomainError(
             f"range end {end} exceeds the enumeration bound {ENUMERATION_BOUND}"
         )
-    if b_max is None:
-        b_max = end
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    config = {
+        "suite": suite,
+        "from": start,
+        "to": end,
+        "b_max": end,
+        "naive_bound": naive_bound(),
+        "enumeration_bound": ENUMERATION_BOUND,
+    }
 
     t0 = time.perf_counter()
     shards = _split_range(start, end, workers)
-    jobs = [(suite, s, e, b_max, naive_cap) for s, e in shards]
+    jobs = [(suite, s, e, end) for s, e in shards]
     if workers == 1 or len(jobs) == 1:
         outcomes = [_run_shard(j) for j in jobs]
     else:
@@ -188,14 +184,6 @@ def run_suite(
 
     checked = sum(c for c, _ in outcomes)
     failures = [f for _, shard_failures in outcomes for f in shard_failures]
-    config = {
-        "suite": suite,
-        "from": start,
-        "to": end,
-        "b_max": b_max,
-        "naive_bound": naive_cap if naive_cap is not None else naive_bound(),
-        "enumeration_bound": ENUMERATION_BOUND,
-    }
     return VerificationReport(
         suite=suite,
         range_start=start,

@@ -44,6 +44,7 @@ from totdk import (
     totient,
     verify_chain,
 )
+from totdk.arith import distinct_primes, totient_from_primes
 from totdk.bench import depth_ceiling, lcg_states, run_bench
 
 
@@ -250,13 +251,21 @@ def _check_gcd_divisor_identity(sieve):
                 )
 
 
+def _radical(n, sieve):
+    return math.prod(distinct_primes(n, sieve))
+
+
+def _totient(n, sieve):
+    return totient_from_primes(n, distinct_primes(n, sieve))
+
+
 def _check_mod24_integrality(sieve):
     for n in range(2, 20_001):
-        m = sieve.radical(n)
+        m = _radical(n, sieve)
         w = omega(m)
         sign = -1 if w % 2 else 1
-        phi_n = sieve.totient(n)
-        product = phi_n * (8 * n * phi_n + 6 * n + 2 * sign * sieve.totient(m) - 2**w)
+        phi_n = _totient(n, sieve)
+        product = phi_n * (8 * n * phi_n + 6 * n + 2 * sign * _totient(m, sieve) - 2**w)
         assert product % 24 == 0, f"24 does not divide the product at n={n}"
 
 
@@ -281,7 +290,7 @@ def _check_nu_weighted_link(sieve):
     # sum of nu(n, a) * a over U(n) == -n phi(n)/4 + S(n) for 2 <= n <= 2000
     for n in range(2, 2001):
         lhs = nu_weighted_sum_bruteforce(n, sieve=sieve)
-        rhs = Fraction(-n * sieve.totient(n), 4) + s_double_sum(n, sieve=sieve)
+        rhs = Fraction(-n * _totient(n, sieve), 4) + s_double_sum(n, sieve=sieve)
         assert lhs == rhs, f"nu-weighted link failed at n={n}"
 
 

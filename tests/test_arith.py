@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totdk import (
+    ENUMERATION_BOUND,
     DomainError,
     Factorization,
     ResourceLimitError,
@@ -15,15 +16,14 @@ from totdk import (
     coprime_residues,
     divisors,
     factorize,
-    gcd,
     moebius,
     omega,
     radical,
     squarefree_divisors,
     totatives,
     totient,
-    valuation,
 )
+from totdk.arith import distinct_primes, totient_from_primes
 
 small_n = st.integers(min_value=1, max_value=50_000)
 
@@ -156,38 +156,21 @@ def test_multiplicativity_on_coprime_pairs(a, b):
     assert omega(a * b) == omega(a) + omega(b)
 
 
-# ------------------------------------------------------------------ valuation
-
-
-def test_valuation_known():
-    assert valuation(2, 40) == 3
-    assert valuation(5, 40) == 1
-    assert valuation(3, 40) == 0
-    assert valuation(7, 7**9) == 9
-
-
-def test_valuation_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        valuation(4, 12)  # not prime
-    with pytest.raises(DomainError):
-        valuation(2, 0)
-
-
 # ------------------------------------------------------------------ totatives
 
 
 def test_totatives_known():
-    assert tuple(totatives(8)) == (1, 3, 5, 7)
-    assert tuple(totatives(5)) == (1, 2, 3, 4)
-    assert tuple(totatives(12)) == (1, 5, 7, 11)
-    assert tuple(totatives(1)) == (1,)
+    assert totatives(8) == [1, 3, 5, 7]
+    assert totatives(5) == [1, 2, 3, 4]
+    assert totatives(12) == [1, 5, 7, 11]
+    assert totatives(1) == [1]
 
 
 def test_totative_set_shape():
     ts = totatives(10)
-    assert ts.n == 10
-    assert len(ts) == 4
-    assert list(ts) == [1, 3, 7, 9]
+    assert type(ts) is list
+    assert all(type(a) is int for a in ts)
+    assert ts == [1, 3, 7, 9]
 
 
 @given(st.integers(min_value=1, max_value=5000))
@@ -204,17 +187,14 @@ def test_coprime_residues_definition(n):
 
 
 def test_enumeration_bound_is_enforced():
+    n = ENUMERATION_BOUND + 1
     with pytest.raises(ResourceLimitError):
-        coprime_residues(11, bound=10)
+        coprime_residues(n)
     with pytest.raises(ResourceLimitError):
-        totatives(11, bound=10)
-    assert coprime_residues(10, bound=10).tolist() == [1, 3, 7, 9]
-
-
-def test_gcd_is_euclidean():
-    assert gcd(12, 18) == 6
-    assert gcd(1000003, 999983) == 1
-    assert gcd(0, 5) == 5
+        totatives(n)
+    top = coprime_residues(ENUMERATION_BOUND)
+    assert len(top) == totient(ENUMERATION_BOUND)
+    assert top[-1] == ENUMERATION_BOUND - 1
 
 
 # ---------------------------------------------------------------------- sieve
@@ -222,20 +202,20 @@ def test_gcd_is_euclidean():
 
 def test_sieve_agrees_with_direct_functions():
     sieve = Sieve(3000)
-    for n in range(1, 3001):
-        assert sieve.factorize(n).pairs == factorize(n).pairs
-        assert sieve.totient(n) == totient(n)
-        assert sieve.moebius(n) == moebius(n)
-        assert sieve.radical(n) == radical(n)
-        assert sieve.distinct_primes(n) == factorize(n).distinct_primes()
+    for n in range(1, 3201):  # past 3000, distinct_primes falls back to trial division
+        primes = distinct_primes(n, sieve)
+        assert primes == factorize(n).distinct_primes()
+        assert totient_from_primes(n, primes) == totient(n)
+        assert math.prod(primes) == radical(n)
+        assert len(primes) == omega(n)
 
 
 def test_sieve_range_checks():
     sieve = Sieve(100)
     with pytest.raises(DomainError):
-        sieve.factorize(101)
+        sieve.distinct_primes(101)
     with pytest.raises(DomainError):
-        sieve.factorize(0)
+        sieve.distinct_primes(0)
 
 
 @settings(max_examples=50)

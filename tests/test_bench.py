@@ -47,6 +47,10 @@ def test_generate_pairs_rejects_bad_arguments():
         generate_pairs(0, 10, 1)
     with pytest.raises(DomainError):
         generate_pairs(5, 0, 1)
+    # each value comes from one 64-bit LCG state, so 2**64 is the widest range
+    assert len(generate_pairs(3, 2**64, 1)) == 3
+    with pytest.raises(DomainError):
+        generate_pairs(3, 2**64 + 1, 1)
 
 
 def test_run_bench_rows():
@@ -60,9 +64,10 @@ def test_run_bench_rows():
         assert 0 <= r.depth <= depth_ceiling(2000)
 
 
-def test_run_bench_respects_naive_cap():
+def test_run_bench_respects_naive_cap(monkeypatch):
+    monkeypatch.setenv("TOTDK_NAIVE_BOUND", "1000")
     with pytest.raises(ResourceLimitError):
-        run_bench(20, 10**6, 1, naive_cap=1000)
+        run_bench(20, 10**6, 1)
 
 
 def test_depth_ceiling_grows_slowly():

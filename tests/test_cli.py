@@ -210,6 +210,13 @@ def test_bench_max_a_capped_by_naive_bound(capsys, monkeypatch):
     assert code == 0
 
 
+def test_bench_rejects_nonpositive_naive_bound(capsys, monkeypatch):
+    monkeypatch.setenv("TOTDK_NAIVE_BOUND", "-3")
+    code, _, err = run_cli(capsys, "bench", "--pairs", "2", "--max-a", "10")
+    assert code == 3
+    assert "TOTDK_NAIVE_BOUND" in err
+
+
 def test_naive_bound_env_flows_into_verify_config(capsys, monkeypatch):
     monkeypatch.setenv("TOTDK_NAIVE_BOUND", "12345")
     code, out, _ = run_cli(

@@ -123,6 +123,13 @@ def test_naive_resource_bound(monkeypatch):
     assert naive_bound() == DEFAULT_NAIVE_BOUND
 
 
+@pytest.mark.parametrize("raw", ["0", "-3", "ten"])
+def test_naive_bound_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv(NAIVE_BOUND_ENV, raw)
+    with pytest.raises(DomainError, match=NAIVE_BOUND_ENV):
+        naive_bound()
+
+
 # ------------------------------------------------------------------ reciprocity
 
 

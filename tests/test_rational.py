@@ -1,4 +1,4 @@
-"""Exact rational value type: construction, floor/frac, serialization."""
+"""Exact rational helpers: fractional part and p/q serialization."""
 
 import math
 from fractions import Fraction
@@ -7,43 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from totdk import (
-    DomainError,
-    format_rational,
-    parse_rational,
-    rat_add,
-    rat_div,
-    rat_floor,
-    rat_frac,
-    rat_mul,
-    rat_sub,
-    rational,
-)
+from totdk import DomainError, format_rational, parse_rational, rat_frac
 
 nonzero = st.integers(min_value=-10**12, max_value=10**12).filter(lambda x: x != 0)
 ints = st.integers(min_value=-10**12, max_value=10**12)
 rationals = st.builds(Fraction, ints, nonzero)
-
-
-@pytest.mark.parametrize(
-    "p,q,expected",
-    [
-        (6, 4, Fraction(3, 2)),
-        (0, 7, Fraction(0, 1)),
-        (3, -9, Fraction(-1, 3)),
-        (5, 1, Fraction(5)),
-        (-4, -6, Fraction(2, 3)),
-    ],
-)
-def test_construction_normalizes(p, q, expected):
-    r = rational(p, q)
-    assert r == expected
-    assert r.denominator >= 1
-
-
-def test_zero_denominator_rejected():
-    with pytest.raises(DomainError):
-        rational(1, 0)
 
 
 @pytest.mark.parametrize(
@@ -57,41 +25,15 @@ def test_zero_denominator_rejected():
     ],
 )
 def test_floor_and_frac(x, floor, frac):
-    assert rat_floor(x) == floor
+    assert math.floor(x) == floor
     assert rat_frac(x) == frac
-
-
-def test_field_ops():
-    assert rat_add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert rat_mul(Fraction(1, 18), Fraction(0)) == Fraction(0, 1)
-    assert rat_sub(Fraction(-1, 6), Fraction(1, 6)) == Fraction(-1, 3)
-    assert rat_div(Fraction(1, 2), Fraction(3)) == Fraction(1, 6)
-
-
-def test_division_by_zero_rejected():
-    with pytest.raises(DomainError):
-        rat_div(Fraction(1), Fraction(0))
 
 
 @given(rationals)
 def test_floor_frac_decomposition(x):
     f = rat_frac(x)
-    assert x == rat_floor(x) + f
+    assert x == math.floor(x) + f
     assert 0 <= f < 1
-
-
-@given(rationals, rationals)
-def test_arithmetic_is_exact(a, b):
-    assert rat_sub(rat_add(a, b), b) == a
-    if b != 0:
-        assert rat_mul(rat_div(a, b), b) == a
-
-
-@given(rationals)
-def test_results_stay_reduced(x):
-    y = rat_add(x, x)
-    assert math.gcd(abs(y.numerator), y.denominator) == 1
-    assert y.denominator >= 1
 
 
 @pytest.mark.parametrize(

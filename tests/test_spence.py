@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from totdk import (
     CHAIN_IDENTITIES,
+    ENUMERATION_BOUND,
     DomainError,
     InvariantViolation,
+    ResourceLimitError,
     Sieve,
     delange_closed_form,
     delange_double_sum,
@@ -167,6 +169,28 @@ def test_spence_rejects_n_1():
         sum_j_aj_bruteforce(1)
     with pytest.raises(DomainError):
         spence_closed_form(1)
+
+
+@pytest.mark.parametrize(
+    "brute",
+    [
+        sum_j_aj_bruteforce,
+        sum_squares_totatives_bruteforce,
+        nu_weighted_sum_bruteforce,
+        verify_chain,
+    ],
+)
+def test_bruteforce_refuses_past_the_enumeration_bound(brute):
+    # past the bound the int64 reductions could overflow silently
+    with pytest.raises(ResourceLimitError):
+        brute(ENUMERATION_BOUND + 1)
+
+
+@pytest.mark.parametrize("n", [1_999_993, 1_531_530])
+def test_bruteforce_exact_at_top_of_enumeration_range(n):
+    # the largest prime <= the bound, and 3 * 510510 (seven distinct primes)
+    assert sum_j_aj_bruteforce(n) == spence_closed_form(n)
+    assert sum_squares_totatives_bruteforce(n) == sum_squares_totatives(n)
 
 
 def test_spence_closed_form_integrality_explicit():

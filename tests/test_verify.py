@@ -81,7 +81,7 @@ def test_run_suite_rejects_bad_workers():
 
 def test_dedekind_suite_allows_unbounded_end():
     # the dedekind suite has no enumeration bound; only the naive cap applies
-    report = run_suite("dedekind", 1, 8, b_max=8)
+    report = run_suite("dedekind", 1, 8)
     assert report.ok
 
 
