@@ -7,7 +7,6 @@ ships a fast O(log a) Dedekind-sum evaluator built on the reciprocity law.
 
 from .arith import (
     ENUMERATION_BOUND,
-    Factorization,
     Sieve,
     coprime_residues,
     divisors,
@@ -20,12 +19,10 @@ from .arith import (
     totient,
 )
 from .dedekind import (
-    DEFAULT_NAIVE_BOUND,
-    NAIVE_BOUND_ENV,
+    NAIVE_BOUND,
     dedekind_fast,
     dedekind_fast_with_depth,
     dedekind_naive,
-    naive_bound,
     reciprocity_rhs,
     sawtooth,
 )
@@ -54,13 +51,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHAIN_IDENTITIES",
-    "DEFAULT_NAIVE_BOUND",
     "DomainError",
     "ENUMERATION_BOUND",
-    "NAIVE_BOUND_ENV",
-    "Factorization",
     "IdentityResult",
     "InvariantViolation",
+    "NAIVE_BOUND",
     "ResourceLimitError",
     "Sieve",
     "VerificationReport",
@@ -75,7 +70,6 @@ __all__ = [
     "format_rational",
     "moebius",
     "mobius_transform_sum",
-    "naive_bound",
     "nu",
     "nu_weighted_sum_bruteforce",
     "omega",

@@ -11,7 +11,6 @@ verification ranges amortize factorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,31 +25,11 @@ from .errors import DomainError, ResourceLimitError
 ENUMERATION_BOUND = 2_000_000
 
 
-@dataclass(frozen=True)
-class Factorization:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization as (prime, exponent) pairs, primes strictly ascending.
 
-    The empty tuple represents 1.
+    Trial division by 2, 3, then 6k+-1; the empty tuple represents 1.
     """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
-    def distinct_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
-def factorize(n: int) -> Factorization:
-    """Canonical prime factorization by trial division (2, 3, then 6k+-1)."""
     if n < 1:
         raise DomainError(f"factorize requires n >= 1, got {n}")
     pairs = []
@@ -73,22 +52,22 @@ def factorize(n: int) -> Factorization:
         i += 6
     if n > 1:
         pairs.append((n, 1))
-    return Factorization(tuple(pairs))
+    return tuple(pairs)
 
 
 def moebius(n: int) -> int:
     """0 if n has a squared prime factor, else (-1)**(number of prime factors)."""
-    fact = factorize(n)
-    if any(e >= 2 for _, e in fact):
+    pairs = factorize(n)
+    if any(e >= 2 for _, e in pairs):
         return 0
-    return -1 if len(fact.pairs) % 2 else 1
+    return -1 if len(pairs) % 2 else 1
 
 
 def distinct_primes(n: int, sieve: Sieve | None = None) -> tuple[int, ...]:
     """Ascending distinct primes of n: from `sieve` when it covers n, else by trial division."""
     if sieve is not None and n <= sieve.limit:
         return sieve.distinct_primes(n)
-    return factorize(n).distinct_primes()
+    return tuple(p for p, _ in factorize(n))
 
 
 def totient_from_primes(n: int, primes: Sequence[int]) -> int:

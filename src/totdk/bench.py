@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .dedekind import dedekind_fast_with_depth, dedekind_naive
+from .dedekind import NAIVE_BOUND, dedekind_fast_with_depth, dedekind_naive
 from .errors import DomainError
 
 LCG_MULTIPLIER = 6364136223846793005
@@ -67,6 +67,8 @@ def depth_ceiling(max_a: int) -> int:
 
 def run_bench(count: int, max_a: int, seed: int) -> list[BenchRow]:
     """Time both evaluators on `count` generated pairs and compare values."""
+    if max_a > NAIVE_BOUND:
+        raise DomainError(f"max_a={max_a} exceeds the naive bound {NAIVE_BOUND}")
     rows = []
     for b, a in generate_pairs(count, max_a, seed):
         t0 = time.perf_counter()

@@ -1,18 +1,22 @@
 """Command-line front end: single exact values, range verification, benchmarks.
 
-Exit codes: 0 success, 2 usage error, 3 domain/resource error, 4 correctness
-failure (a verification mismatch, or the benchmark catching the two
-evaluators disagreeing).
+Exit codes: 0 success, 2 usage error, 3 domain/resource error or a dead
+worker process, 4 correctness failure (a verification mismatch, or the
+benchmark catching the two evaluators disagreeing).
+
+The library checks every verify and bench input; this module only parses
+arguments and maps the library's exceptions to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .arith import ENUMERATION_BOUND
 from .bench import format_table, run_bench
-from .dedekind import dedekind_fast, naive_bound
+from .dedekind import dedekind_fast
 from .errors import DomainError, ResourceLimitError
 from .rational import format_rational, parse_rational
 from .spence import (
@@ -27,7 +31,16 @@ from .verify import SUITES, run_suite
 #: Brute-force verification ranges stop here unless --allow-slow is passed.
 DEFAULT_RANGE_CAP = 100_000
 
-EVAL_KINDS = ("spence", "dedekind", "theta", "nu", "ssum", "delange")
+#: eval kind -> (function, argument names); "x" is a rational, the rest integers.
+_EVAL = {
+    "spence": (spence_closed_form, ("n",)),
+    "dedekind": (dedekind_fast, ("b", "a")),
+    "theta": (theta, ("n", "x")),
+    "nu": (nu, ("n", "x")),
+    "ssum": (s_closed_form, ("n",)),
+    "delange": (delange_closed_form, ("n",)),
+}
+EVAL_KINDS = tuple(_EVAL)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,45 +86,31 @@ def _parse_int(parser: argparse.ArgumentParser, text: str, what: str) -> int:
 
 
 def _cmd_eval(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
-    kind, raw = ns.kind, ns.args
-    arity = {"spence": 1, "dedekind": 2, "theta": 2, "nu": 2, "ssum": 1, "delange": 1}
-    if len(raw) != arity[kind]:
-        parser.error(f"eval {kind} takes {arity[kind]} argument(s), got {len(raw)}")
-    if kind == "spence":
-        n = _parse_int(parser, raw[0], "n")
-        value = spence_closed_form(n)
-    elif kind == "dedekind":
-        b = _parse_int(parser, raw[0], "b")
-        a = _parse_int(parser, raw[1], "a")
-        value = dedekind_fast(b, a)
-    elif kind == "theta":
-        n = _parse_int(parser, raw[0], "n")
-        value = theta(n, parse_rational(raw[1]))
-    elif kind == "nu":
-        n = _parse_int(parser, raw[0], "n")
-        value = nu(n, parse_rational(raw[1]))
-    elif kind == "ssum":
-        n = _parse_int(parser, raw[0], "n")
-        value = s_closed_form(n)
-    else:
-        n = _parse_int(parser, raw[0], "n")
-        value = delange_closed_form(n)
-    print(format_rational(value))
+    fn, names = _EVAL[ns.kind]
+    if len(ns.args) != len(names):
+        parser.error(f"eval {ns.kind} takes {len(names)} argument(s), got {len(ns.args)}")
+    args = [
+        parse_rational(text) if name == "x" else _parse_int(parser, text, name)
+        for name, text in zip(names, ns.args)
+    ]
+    print(format_rational(fn(*args)))
     return 0
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
-    if ns.start < 2 or ns.start > ns.end:
-        parser.error(f"need 2 <= from <= to, got from={ns.start} to={ns.end}")
-    if ns.workers < 1:
-        parser.error(f"--workers must be >= 1, got {ns.workers}")
     cap = ENUMERATION_BOUND if ns.allow_slow else DEFAULT_RANGE_CAP
     if ns.end > cap:
         parser.error(
             f"--to {ns.end} exceeds the cap {cap}"
             + ("" if ns.allow_slow else " (pass --allow-slow to raise it)")
         )
-    report = run_suite(ns.suite, ns.start, ns.end, workers=ns.workers)
+    try:
+        report = run_suite(ns.suite, ns.start, ns.end, workers=ns.workers)
+    except DomainError as exc:
+        parser.error(str(exc))
+    except BrokenProcessPool as exc:
+        print(f"error: worker process died: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(report.render(ns.fmt))
     if ns.fmt != "human":
         print(
@@ -123,12 +122,10 @@ def _cmd_verify(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
 
 
 def _cmd_bench(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
-    if ns.pairs < 1:
-        parser.error(f"--pairs must be >= 1, got {ns.pairs}")
-    cap = naive_bound()
-    if ns.max_a < 1 or ns.max_a > cap:
-        parser.error(f"--max-a must be in [1, {cap}] (naive bound), got {ns.max_a}")
-    rows = run_bench(ns.pairs, ns.max_a, ns.seed)
+    try:
+        rows = run_bench(ns.pairs, ns.max_a, ns.seed)
+    except DomainError as exc:
+        parser.error(str(exc))
     sys.stdout.write(format_table(rows, ns.max_a))
     if any(not r.equal for r in rows):
         print("error: evaluator mismatch (correctness bug)", file=sys.stderr)

@@ -19,33 +19,14 @@ the sum itself:
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
+from .rational import rat_frac
 
-#: Default cap on the modulus accepted by the O(a) naive evaluator.
-DEFAULT_NAIVE_BOUND = 10**7
-
-#: Environment variable overriding the naive bound.
-NAIVE_BOUND_ENV = "TOTDK_NAIVE_BOUND"
-
-
-def naive_bound() -> int:
-    """Cap on the modulus of dedekind_naive: the env override, else the default.
-
-    The environment variable is the only way to set it.
-    """
-    raw = os.environ.get(NAIVE_BOUND_ENV)
-    if raw is None or not raw.strip():
-        return DEFAULT_NAIVE_BOUND
-    try:
-        value = int(raw)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise DomainError(f"{NAIVE_BOUND_ENV} must be an integer >= 1, got {raw!r}")
+#: Largest modulus accepted by the O(a) naive evaluator, a resource limit
+#: like ENUMERATION_BOUND; it is a constant, not a setting.
+NAIVE_BOUND = 10**7
 
 
 def sawtooth(x: Fraction | int) -> Fraction:
@@ -53,7 +34,7 @@ def sawtooth(x: Fraction | int) -> Fraction:
     x = Fraction(x)
     if x.denominator == 1:
         return Fraction(0)
-    return x - math.floor(x) - Fraction(1, 2)
+    return rat_frac(x) - Fraction(1, 2)
 
 
 def _require_valid(b: int, a: int) -> None:
@@ -71,9 +52,8 @@ def dedekind_naive(b: int, a: int) -> Fraction:
     swallows the k = a term).  Accumulation is pure integer arithmetic.
     """
     _require_valid(b, a)
-    limit = naive_bound()
-    if a > limit:
-        raise ResourceLimitError(f"naive Dedekind bound exceeded: a={a} > {limit}")
+    if a > NAIVE_BOUND:
+        raise ResourceLimitError(f"naive Dedekind bound exceeded: a={a} > {NAIVE_BOUND}")
     step = b % a
     total = 0
     r = 0

@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A brute-force computation would exceed its configured size bound."""
+    """A brute-force computation would exceed its fixed size bound."""
 
 
 class InvariantViolation(RuntimeError):

@@ -43,7 +43,7 @@ from .arith import (
 )
 from .dedekind import dedekind_fast
 from .errors import DomainError, InvariantViolation
-from .rational import format_rational
+from .rational import format_rational, rat_frac
 
 #: Stable tags for the links checked by verify_chain, in the order computed.
 CHAIN_IDENTITIES = (
@@ -103,8 +103,7 @@ def nu(n: int, x: Fraction | int, *, sieve: Sieve | None = None) -> Fraction:
     x = Fraction(x)
     total = Fraction(0)
     for d, mu in squarefree_divisors_from(distinct_primes(n, sieve)):
-        q = x / d
-        total += mu * (q - math.floor(q))
+        total += mu * rat_frac(x / d)
     return total
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import ENUMERATION_BOUND, Sieve
-from .dedekind import dedekind_fast, dedekind_naive, naive_bound
+from .dedekind import NAIVE_BOUND, dedekind_fast, dedekind_naive
 from .errors import DomainError
 from .spence import IdentityResult, spence_closed_form, sum_j_aj_bruteforce, verify_chain
 
@@ -157,10 +157,9 @@ def run_suite(
         raise DomainError(
             f"invalid range [{start}, {end}]: need {min_start} <= start <= end"
         )
-    if end > ENUMERATION_BOUND and suite != "dedekind":
-        raise DomainError(
-            f"range end {end} exceeds the enumeration bound {ENUMERATION_BOUND}"
-        )
+    bound = NAIVE_BOUND if suite == "dedekind" else ENUMERATION_BOUND
+    if end > bound:
+        raise DomainError(f"range end {end} exceeds the {suite} suite's bound {bound}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     config = {
@@ -168,7 +167,7 @@ def run_suite(
         "from": start,
         "to": end,
         "b_max": end,
-        "naive_bound": naive_bound(),
+        "naive_bound": NAIVE_BOUND,
         "enumeration_bound": ENUMERATION_BOUND,
     }
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from totdk import (
     ENUMERATION_BOUND,
     DomainError,
-    Factorization,
     ResourceLimitError,
     Sieve,
     coprime_residues,
@@ -44,8 +43,8 @@ small_n = st.integers(min_value=1, max_value=50_000)
 )
 def test_factorize_known(n, pairs):
     f = factorize(n)
-    assert f.pairs == pairs
-    assert f.value == n
+    assert f == pairs
+    assert math.prod(p**e for p, e in f) == n
 
 
 def test_factorize_rejects_nonpositive():
@@ -57,16 +56,10 @@ def test_factorize_rejects_nonpositive():
 @given(small_n)
 def test_factorize_round_trips(n):
     f = factorize(n)
-    assert f.value == n
-    primes = f.distinct_primes()
-    assert list(primes) == sorted(primes)
-    assert all(factorize(p).pairs == ((p, 1),) for p in primes)
-
-
-def test_factorization_value_recomputes():
-    f = Factorization(pairs=((2, 3), (7, 1)))
-    assert f.value == 56
-    assert f.distinct_primes() == (2, 7)
+    assert math.prod(p**e for p, e in f) == n
+    primes = [p for p, _ in f]
+    assert primes == sorted(primes)
+    assert all(factorize(p) == ((p, 1),) for p in primes)
 
 
 # ------------------------------------------------- multiplicative functions
@@ -204,7 +197,7 @@ def test_sieve_agrees_with_direct_functions():
     sieve = Sieve(3000)
     for n in range(1, 3201):  # past 3000, distinct_primes falls back to trial division
         primes = distinct_primes(n, sieve)
-        assert primes == factorize(n).distinct_primes()
+        assert primes == tuple(p for p, _ in factorize(n))
         assert totient_from_primes(n, primes) == totient(n)
         assert math.prod(primes) == radical(n)
         assert len(primes) == omega(n)

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from totdk import DomainError, ResourceLimitError, dedekind_fast
+from totdk import NAIVE_BOUND, DomainError, dedekind_fast
 from totdk.bench import (
     LCG_INCREMENT,
     LCG_MASK,
@@ -64,10 +64,9 @@ def test_run_bench_rows():
         assert 0 <= r.depth <= depth_ceiling(2000)
 
 
-def test_run_bench_respects_naive_cap(monkeypatch):
-    monkeypatch.setenv("TOTDK_NAIVE_BOUND", "1000")
-    with pytest.raises(ResourceLimitError):
-        run_bench(20, 10**6, 1)
+def test_run_bench_respects_naive_cap():
+    with pytest.raises(DomainError, match="naive bound"):
+        run_bench(1, NAIVE_BOUND + 1, 1)
 
 
 def test_depth_ceiling_grows_slowly():

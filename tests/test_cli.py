@@ -1,9 +1,12 @@
 """Command-line interface: grammar, output, exit-code contract."""
 
 import json
+import os
 
 import pytest
 
+import totdk.verify
+from totdk import NAIVE_BOUND
 from totdk.cli import DEFAULT_RANGE_CAP, EVAL_KINDS, build_parser, main
 
 
@@ -106,6 +109,10 @@ def test_verify_dedekind_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--from", "2", "--to", "15", "--suite", "dedekind")
     assert code == 0
     assert "checked=14" in out
+    # a = 1 is in the Dedekind domain, so [1, B] covers the full B x B grid
+    code, out, _ = run_cli(capsys, "verify", "--from", "1", "--to", "12", "--suite", "dedekind")
+    assert code == 0
+    assert "checked=12" in out
 
 
 def test_verify_all_suite(capsys):
@@ -128,7 +135,7 @@ def test_verify_reports_identical_across_workers(capsys):
     "argv",
     [
         ("verify", "--from", "5", "--to", "4"),  # inverted range
-        ("verify", "--from", "1", "--to", "10"),  # from below 2
+        ("verify", "--from", "1", "--to", "10"),  # spence needs from >= 2
         ("verify", "--from", "2", "--to", "10", "--workers", "0"),
         ("verify", "--from", "2", "--to", "10", "--suite", "nosuch"),
         ("verify", "--from", "2", "--to", "10", "--format", "xml"),
@@ -138,6 +145,17 @@ def test_verify_reports_identical_across_workers(capsys):
 def test_verify_usage_errors_exit_2(capsys, argv):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 2
+
+
+def _die_in_worker(args):
+    os._exit(1)
+
+
+def test_verify_worker_death_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(totdk.verify, "_run_shard", _die_in_worker)
+    code, _, err = run_cli(capsys, "verify", "--from", "2", "--to", "10", "--workers", "2")
+    assert code == 3
+    assert "error: worker process died" in err
 
 
 def test_verify_range_cap_needs_allow_slow(capsys):
@@ -202,28 +220,18 @@ def test_bench_usage_errors_exit_2(capsys, argv):
     assert code == 2
 
 
-def test_bench_max_a_capped_by_naive_bound(capsys, monkeypatch):
-    monkeypatch.setenv("TOTDK_NAIVE_BOUND", "500")
-    code, _, _ = run_cli(capsys, "bench", "--pairs", "1", "--max-a", "501")
+def test_bench_max_a_capped_by_naive_bound(capsys):
+    code, _, err = run_cli(capsys, "bench", "--pairs", "1", "--max-a", str(NAIVE_BOUND + 1))
     assert code == 2
-    code, _, _ = run_cli(capsys, "bench", "--pairs", "1", "--max-a", "500")
-    assert code == 0
+    assert "naive bound" in err
 
 
-def test_bench_rejects_nonpositive_naive_bound(capsys, monkeypatch):
-    monkeypatch.setenv("TOTDK_NAIVE_BOUND", "-3")
-    code, _, err = run_cli(capsys, "bench", "--pairs", "2", "--max-a", "10")
-    assert code == 3
-    assert "TOTDK_NAIVE_BOUND" in err
-
-
-def test_naive_bound_env_flows_into_verify_config(capsys, monkeypatch):
-    monkeypatch.setenv("TOTDK_NAIVE_BOUND", "12345")
+def test_naive_bound_env_flows_into_verify_config(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--from", "2", "--to", "5", "--suite", "spence", "--format", "json"
     )
     assert code == 0
-    assert json.loads(out)["config"]["naive_bound"] == 12345
+    assert json.loads(out)["config"]["naive_bound"] == NAIVE_BOUND
 
 
 def test_parser_prog_name():

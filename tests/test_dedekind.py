@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totdk import (
-    DEFAULT_NAIVE_BOUND,
-    NAIVE_BOUND_ENV,
+    NAIVE_BOUND,
     DomainError,
     ResourceLimitError,
     dedekind_fast,
     dedekind_fast_with_depth,
     dedekind_naive,
-    naive_bound,
     reciprocity_rhs,
     sawtooth,
 )
@@ -113,21 +111,10 @@ def test_naive_rejects_bad_arguments():
         dedekind_naive(-1, 3)
 
 
-def test_naive_resource_bound(monkeypatch):
-    monkeypatch.setenv(NAIVE_BOUND_ENV, "100")
-    assert naive_bound() == 100
-    with pytest.raises(ResourceLimitError):
-        dedekind_naive(1, 101)
-    assert dedekind_naive(1, 100) == Fraction(99 * 98, 1200)
-    monkeypatch.delenv(NAIVE_BOUND_ENV)
-    assert naive_bound() == DEFAULT_NAIVE_BOUND
-
-
-@pytest.mark.parametrize("raw", ["0", "-3", "ten"])
-def test_naive_bound_rejects_bad_values(monkeypatch, raw):
-    monkeypatch.setenv(NAIVE_BOUND_ENV, raw)
-    with pytest.raises(DomainError, match=NAIVE_BOUND_ENV):
-        naive_bound()
+def test_naive_resource_bound():
+    # The bound is checked before the O(a) loop, so this raises at once.
+    with pytest.raises(ResourceLimitError, match=str(NAIVE_BOUND)):
+        dedekind_naive(1, NAIVE_BOUND + 1)
 
 
 # ------------------------------------------------------------------ reciprocity

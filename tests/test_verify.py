@@ -7,6 +7,7 @@ import pytest
 
 from totdk import (
     ENUMERATION_BOUND,
+    NAIVE_BOUND,
     DomainError,
     IdentityResult,
     VerificationReport,
@@ -55,7 +56,7 @@ def test_config_block():
     assert report.config["from"] == 2
     assert report.config["to"] == 10
     assert report.config["enumeration_bound"] == ENUMERATION_BOUND
-    assert report.config["naive_bound"] >= 1
+    assert report.config["naive_bound"] == NAIVE_BOUND
 
 
 @pytest.mark.parametrize(
@@ -67,6 +68,7 @@ def test_config_block():
         ("dedekind", 0, 10),
         ("spence", 2, ENUMERATION_BOUND + 1),
         ("chain", 2, ENUMERATION_BOUND + 1),
+        ("dedekind", 2, NAIVE_BOUND + 1),  # rejected before the sweep starts
     ],
 )
 def test_run_suite_rejects_bad_arguments(suite, start, end):
