@@ -11,7 +11,6 @@ reproducible from the seed alone, independent of any library RNG.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,10 +22,6 @@ from .errors import DomainError
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 LCG_MASK = (1 << 64) - 1
-
-#: Golden ratio, for the Euclidean step-count ceiling.
-_PHI = (1 + math.sqrt(5)) / 2
-
 
 @dataclass(frozen=True)
 class BenchRow:
@@ -61,8 +56,17 @@ def generate_pairs(count: int, max_a: int, seed: int) -> list[tuple[int, int]]:
 
 
 def depth_ceiling(max_a: int) -> int:
-    """Euclidean step-count bound used to sanity-check measured depths."""
-    return int(2 * math.log(max(max_a, 2), _PHI)) + 2
+    """Most Euclid steps (the depth of dedekind_fast_with_depth) for a <= max_a.
+
+    Lame's bound: a reduced pair 0 < h < k whose Euclidean algorithm takes
+    r steps has k >= F(r + 2), with F(1) = F(2) = 1, and consecutive
+    Fibonacci numbers reach it.  So the ceiling is the largest r with
+    F(r + 2) <= max_a, found in integers (0 when max_a < 2).
+    """
+    depth, lo, hi = 0, 1, 2  # hi = F(depth + 3)
+    while hi <= max_a:
+        depth, lo, hi = depth + 1, hi, lo + hi
+    return depth
 
 
 def run_bench(count: int, max_a: int, seed: int) -> list[BenchRow]:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 domain/resource error or a dead
 worker process, 4 correctness failure (a verification mismatch, or the
-benchmark catching the two evaluators disagreeing).
+benchmark catching the two evaluators disagreeing), 130 interrupted
+(KeyboardInterrupt, such as Ctrl-C during a long verify sweep).
 
 The library checks every verify and bench input; this module only parses
 arguments and maps the library's exceptions to exit codes.
@@ -147,6 +148,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -5,15 +5,26 @@ fractional part minus one half away from integers and 0 at integers.
 Coprimality of the arguments is NOT required; the sum is well defined for
 any positive pair.
 
-Two evaluators are provided.  `dedekind_naive` walks the definition in O(a)
-and is the oracle; `dedekind_fast` reaches the same exact value in
-O(log min(a, b)) steps by chaining three reductions, each an identity of
-the sum itself:
+`dedekind_fast` reaches the exact value in O(log min(a, b)) integer steps.
+Two identities of the sum itself first reduce the pair:
 
   * scaling:      s(b*c, a*c) = s(b, a), so the pair is divided by its gcd;
-  * periodicity:  s(b, a) = s(b mod a, a), with s(0, a) = 0;
-  * reciprocity:  s(b, a) + s(a, b) = -1/4 + (b/a + 1/(a*b) + a/b)/12
-                  for coprime a, b, used to swap the pair Euclid-style.
+  * periodicity:  s(b, a) = s(b mod a, a), with s(0, a) = 0.
+
+That leaves a coprime pair 0 < h < k, which the continued-fraction closed
+form of Hickerson (1977) and Knuth ("Notes on generalized Dedekind sums",
+Acta Arith. 1977) evaluates: with q_1..q_r the quotients of Euclid's
+algorithm on (k, h) and h' the inverse of h mod k,
+
+    12*k*s(h, k) = k*(q_1 - q_2 + ... + (-1)^(r+1) q_r) + h + h'
+                   - k*(3 if r is odd else 1).
+
+The loop keeps only Python ints; one Fraction is built at the end.
+
+Two independent oracles stay for the tests: `dedekind_naive` walks the
+definition in O(a), and `reciprocity_rhs` is the right-hand side of the
+reciprocity law s(b, a) + s(a, b) = -1/4 + (b/a + 1/(a*b) + a/b)/12 for
+coprime a, b, from which a Euclid-style evaluator can be built.
 """
 
 from __future__ import annotations
@@ -82,27 +93,28 @@ def dedekind_fast(b: int, a: int) -> Fraction:
 
 
 def dedekind_fast_with_depth(b: int, a: int) -> tuple[Fraction, int]:
-    """Like dedekind_fast, also returning the number of reciprocity swaps.
+    """Like dedekind_fast, also returning r, the length of Euclid's algorithm.
 
-    The pair is first divided by its gcd (scaling) and the first argument
-    reduced mod the second (periodicity), leaving a coprime pair with
-    0 <= b < a.  Each loop iteration applies the reciprocity law once:
-    s(b, a) = rhs(b, a) - s(a, b), then folds s(a, b) to s(a mod b, b).
-    The remainder sequence is the Euclidean algorithm's, so it reaches
-    s(0, *) = 0 after O(log min(a, b)) swaps.
+    The pair is divided by its gcd (scaling) and b reduced mod a
+    (periodicity), leaving a coprime pair 0 <= h < k; h = 0 gives
+    s(0, k) = 0 at depth 0.  Otherwise the closed form in the module
+    docstring sums the Euclid quotients of (k, h) with alternating signs.
     """
     _require_valid(b, a)
     g = math.gcd(b, a)
-    if g > 1:
-        b //= g
-        a //= g
-    b %= a
-    total = Fraction(0)
+    k = a // g
+    h = (b // g) % k
+    if not h:
+        return Fraction(0), 0
+    x, y = k, h
+    alternating = 0
     sign = 1
     depth = 0
-    while b:
-        total += sign * reciprocity_rhs(b, a)
+    while y:
+        q, r = divmod(x, y)
+        alternating += sign * q
         sign = -sign
-        a, b = b, a % b
+        x, y = y, r
         depth += 1
-    return total, depth
+    numerator = k * alternating + h + pow(h, -1, k) - k * (3 if depth % 2 else 1)
+    return Fraction(numerator, 12 * k), depth

@@ -203,15 +203,19 @@ def s_double_sum(n: int, *, sieve: Sieve | None = None) -> Fraction:
     """S(n) = n * sum(mu(d1) mu(d2) s(n/d1, n/d2)) over divisor pairs of n.
 
     Every Dedekind sum is evaluated with dedekind_fast; divisors with
-    mu = 0 contribute nothing and are skipped.
+    mu = 0 contribute nothing and are skipped.  Each s(n/d1, n/d2) has a
+    denominator dividing 12*(n/d2), which divides 12*n, so the double sum
+    is accumulated as an integer numerator over 12*n and S(n) = total / 12.
     """
     _require_n_ge_2(n)
     sq = squarefree_divisors_from(distinct_primes(n, sieve))
-    total = Fraction(0)
+    common = 12 * n
+    total = 0
     for d1, mu1 in sq:
         for d2, mu2 in sq:
-            total += mu1 * mu2 * dedekind_fast(n // d1, n // d2)
-    return n * total
+            s = dedekind_fast(n // d1, n // d2)
+            total += mu1 * mu2 * s.numerator * (common // s.denominator)
+    return Fraction(total, 12)
 
 
 def s_closed_form(n: int, *, sieve: Sieve | None = None) -> Fraction:

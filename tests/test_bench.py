@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from totdk import NAIVE_BOUND, DomainError, dedekind_fast
+from totdk import NAIVE_BOUND, DomainError, dedekind_fast, dedekind_fast_with_depth
 from totdk.bench import (
     LCG_INCREMENT,
     LCG_MASK,
@@ -70,10 +70,26 @@ def test_run_bench_respects_naive_cap():
 
 
 def test_depth_ceiling_grows_slowly():
-    assert depth_ceiling(1) >= 2
+    assert depth_ceiling(1) == 0
     assert depth_ceiling(10**6) < 64
     assert depth_ceiling(10**12) < 130
     assert depth_ceiling(10**6) < depth_ceiling(10**12)
+
+
+def test_depth_ceiling_is_exact_up_to_2000():
+    # depth[a][b]: Euclid steps of (a, b) for 0 <= b < a, by the recurrence
+    # depth[a][b] = 1 + depth[b][a mod b]; scaling keeps the quotients, so this
+    # is the depth dedekind_fast_with_depth reports for (b, a).
+    depth = [[]]
+    worst = 0
+    for a in range(1, 2001):
+        depth.append([0] + [1 + depth[b][a % b] for b in range(1, a)])
+        worst = max(worst, *depth[a])
+        # no pair with modulus <= a goes deeper, and Fibonacci pairs reach it
+        assert worst == depth_ceiling(a), a
+    for a in range(1, 201):
+        for b in range(2 * a):
+            assert dedekind_fast_with_depth(b, a)[1] == depth[a][b % a]
 
 
 def test_format_table_layout():

@@ -158,6 +158,18 @@ def test_verify_worker_death_exits_3(capsys, monkeypatch):
     assert "error: worker process died" in err
 
 
+def _interrupt(args):
+    raise KeyboardInterrupt
+
+
+def test_verify_interrupt_exits_130(capsys, monkeypatch):
+    monkeypatch.setattr(totdk.verify, "_run_shard", _interrupt)
+    code, out, err = run_cli(capsys, "verify", "--from", "2", "--to", "10", "--workers", "1")
+    assert code == 130
+    assert out == ""
+    assert err == "error: interrupted\n"
+
+
 def test_verify_range_cap_needs_allow_slow(capsys):
     over_cap = str(DEFAULT_RANGE_CAP + 1)
     code, _, _ = run_cli(capsys, "verify", "--from", "2", "--to", over_cap)

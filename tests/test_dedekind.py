@@ -228,6 +228,46 @@ def test_fast_depth_is_logarithmic():
         assert depth <= 2 * math.log(min(a, b) + 1, golden) + 4
 
 
+def reciprocity_evaluator(b: int, a: int) -> tuple[Fraction, int]:
+    """Independent big-number oracle built on the reciprocity law alone.
+
+    After gcd scaling and b mod a, apply s(b, a) = rhs(b, a) - s(a mod b, b)
+    until b = 0; returns the value and the number of swaps.
+    """
+    g = math.gcd(b, a)
+    b, a = b // g, a // g
+    b %= a
+    total = Fraction(0)
+    sign = 1
+    swaps = 0
+    while b:
+        total += sign * reciprocity_rhs(b, a)
+        sign = -sign
+        a, b = b, a % b
+        swaps += 1
+    return total, swaps
+
+
+@st.composite
+def big_pairs(draw):
+    # (b, a) up to 10**100: a shared factor g, b = 0, b >= a and 0 < b < a all occur
+    g = draw(st.sampled_from((1, 1, 2, 12, 10**9 + 7, 10**40)))
+    a = draw(st.integers(min_value=1, max_value=10**100 // g))
+    b = draw(
+        st.just(0)
+        | st.integers(min_value=0, max_value=a)
+        | st.integers(min_value=a, max_value=10**100 // g)
+    )
+    return b * g, a * g
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_pairs())
+def test_fast_equals_reciprocity_oracle_on_big_pairs(pair):
+    b, a = pair
+    assert dedekind_fast_with_depth(b, a) == reciprocity_evaluator(b, a)
+
+
 def test_fast_rejects_bad_arguments():
     with pytest.raises(DomainError):
         dedekind_fast(1, 0)

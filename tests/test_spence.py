@@ -14,6 +14,7 @@ from totdk import (
     InvariantViolation,
     ResourceLimitError,
     Sieve,
+    dedekind_naive,
     delange_closed_form,
     delange_double_sum,
     divisors,
@@ -291,6 +292,21 @@ def test_s_equality_range():
     sieve = Sieve(400)
     for n in range(2, 401):
         assert s_double_sum(n, sieve=sieve) == s_closed_form(n, sieve=sieve)
+
+
+def test_s_double_sum_matches_definition_with_naive_oracle():
+    # S(n) = n * sum over d1, d2 | n of mu(d1) mu(d2) s(n/d1, n/d2), term by term
+    for n in range(2, 301):
+        squarefree = [(d, moebius(d)) for d in divisors(n) if moebius(d)]
+        definition = n * sum(
+            (
+                mu1 * mu2 * dedekind_naive(n // d1, n // d2)
+                for d1, mu1 in squarefree
+                for d2, mu2 in squarefree
+            ),
+            Fraction(0),
+        )
+        assert s_double_sum(n) == definition, n
 
 
 # ------------------------------------------------------------------- Delange
