@@ -4,12 +4,13 @@ Covers everything the identity chain needs from elementary number theory:
 prime factorization, the Moebius function, Euler's totient, the count and
 product of distinct prime factors, divisor enumeration and totatives.  Code
 that needs only the distinct primes of n gets them from `distinct_primes`,
-which reads a smallest-prime-factor sieve when one covers n, so bulk
-verification ranges amortize factorization.
+which reads the table of the innermost open `with Sieve(limit):` scope when it
+covers n and uses trial division otherwise, so a bulk loop opens one scope.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from typing import Sequence
 
@@ -23,6 +24,10 @@ from .errors import DomainError, ResourceLimitError
 #: fewer than n terms, each below n**2, so it stays under 2**63 whenever
 #: n <= 2_000_000.  It is therefore a constant, not a per-call argument.
 ENUMERATION_BOUND = 2_000_000
+
+# Sieves whose scopes are open in this thread or task, innermost last.  A stack
+# rather than per-Sieve tokens, so one Sieve may be open in two threads at once.
+_open_sieves = contextvars.ContextVar("totdk_open_sieves", default=())
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -63,10 +68,11 @@ def moebius(n: int) -> int:
     return -1 if len(pairs) % 2 else 1
 
 
-def distinct_primes(n: int, sieve: Sieve | None = None) -> tuple[int, ...]:
-    """Ascending distinct primes of n: from `sieve` when it covers n, else by trial division."""
-    if sieve is not None and n <= sieve.limit:
-        return sieve.distinct_primes(n)
+def distinct_primes(n: int) -> tuple[int, ...]:
+    """Ascending distinct primes of n: from the open Sieve covering n, else trial division."""
+    sieves = _open_sieves.get()
+    if sieves and n <= sieves[-1].limit:
+        return sieves[-1].distinct_primes(n)
     return tuple(p for p, _ in factorize(n))
 
 
@@ -119,11 +125,10 @@ def squarefree_divisors_from(primes: Sequence[int]) -> list[tuple[int, int]]:
     return divs
 
 
-def coprime_residues(n: int, primes: Sequence[int] | None = None) -> np.ndarray:
+def coprime_residues(n: int) -> np.ndarray:
     """Ascending int64 array of the totatives of n ((1,) for n = 1).
 
-    Sieves multiples of each distinct prime of n out of [1, n).  `primes`
-    may be supplied (e.g. from a Sieve) to skip refactorization.
+    Sieves multiples of each distinct prime of n out of [1, n).
     """
     if n < 1:
         raise DomainError(f"totatives require n >= 1, got {n}")
@@ -133,11 +138,9 @@ def coprime_residues(n: int, primes: Sequence[int] | None = None) -> np.ndarray:
         )
     if n == 1:
         return np.ones(1, dtype=np.int64)
-    if primes is None:
-        primes = distinct_primes(n)
     mask = np.ones(n, dtype=bool)
     mask[0] = False
-    for p in primes:
+    for p in distinct_primes(n):
         mask[p::p] = False
     return np.flatnonzero(mask).astype(np.int64, copy=False)
 
@@ -148,11 +151,11 @@ def totatives(n: int) -> list[int]:
 
 
 class Sieve:
-    """Smallest-prime-factor table over [0, limit].
+    """Smallest-prime-factor table over [0, limit], opened as a scope.
 
-    Build once, then read the distinct primes of any 1 <= n <= limit in
-    O(log n); meant to be shared read-only across range verifications (and across worker
-    processes, which each build their own copy).
+    Inside `with Sieve(limit):`, `distinct_primes(n)` reads the table in
+    O(log n) for 1 <= n <= limit.  Like `decimal.localcontext`, the scope
+    belongs to the current thread or task and closes even if the block raises.
     """
 
     def __init__(self, limit: int):
@@ -166,6 +169,13 @@ class Sieve:
                     if spf[j] == j:
                         spf[j] = i
         self._spf = spf
+
+    def __enter__(self) -> Sieve:
+        _open_sieves.set((*_open_sieves.get(), self))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _open_sieves.set(_open_sieves.get()[:-1])
 
     def distinct_primes(self, n: int) -> tuple[int, ...]:
         if not 1 <= n <= self.limit:

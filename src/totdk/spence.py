@@ -35,7 +35,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arith import (
-    Sieve,
     coprime_residues,
     distinct_primes,
     squarefree_divisors_from,
@@ -77,32 +76,25 @@ class IdentityResult:
         }
 
 
-def _require_n_ge_1(n: int) -> None:
-    if n < 1:
-        raise DomainError(f"requires n >= 1, got {n}")
-
-
 def _require_n_ge_2(n: int) -> None:
     if n < 2:
         raise DomainError(f"requires n > 1, got {n}")
 
 
-def theta(n: int, x: Fraction | int, *, sieve: Sieve | None = None) -> int:
+def theta(n: int, x: Fraction | int) -> int:
     """Moebius-weighted floor sum over the divisors of n.
 
     For x >= 0 this equals the number of integers in [1, x] coprime to n.
     """
-    _require_n_ge_1(n)
     x = Fraction(x)
-    return sum(mu * (x // d) for d, mu in squarefree_divisors_from(distinct_primes(n, sieve)))
+    return sum(mu * (x // d) for d, mu in squarefree_divisors_from(distinct_primes(n)))
 
 
-def nu(n: int, x: Fraction | int, *, sieve: Sieve | None = None) -> Fraction:
+def nu(n: int, x: Fraction | int) -> Fraction:
     """Moebius-weighted fractional-part sum; theta + nu = x * phi(n) / n."""
-    _require_n_ge_1(n)
     x = Fraction(x)
     total = Fraction(0)
-    for d, mu in squarefree_divisors_from(distinct_primes(n, sieve)):
+    for d, mu in squarefree_divisors_from(distinct_primes(n)):
         total += mu * rat_frac(x / d)
     return total
 
@@ -132,20 +124,20 @@ def _nu_weighted_sum(residues: np.ndarray, primes: Sequence[int]) -> Fraction:
     return Fraction(numerator, m)
 
 
-def sum_j_aj_bruteforce(n: int, *, sieve: Sieve | None = None) -> int:
+def sum_j_aj_bruteforce(n: int) -> int:
     """sum(j * a_j) over the ascending totatives of n, by direct enumeration."""
     _require_n_ge_2(n)
-    return _sum_j_aj(coprime_residues(n, distinct_primes(n, sieve)))
+    return _sum_j_aj(coprime_residues(n))
 
 
-def spence_closed_form(n: int, *, sieve: Sieve | None = None) -> int:
+def spence_closed_form(n: int) -> int:
     """The closed form phi(n)/24 * (8n phi(n) + 6n + 2 phi(m) (-1)^omega(m) - 2^omega(m)).
 
     m is the radical of n.  The product is divisible by 24 for every n > 1;
     integrality is asserted, not assumed.
     """
     _require_n_ge_2(n)
-    primes = distinct_primes(n, sieve)
+    primes = distinct_primes(n)
     phi_n = totient_from_primes(n, primes)
     phi_m = math.prod(p - 1 for p in primes)
     w = len(primes)
@@ -158,10 +150,10 @@ def spence_closed_form(n: int, *, sieve: Sieve | None = None) -> int:
     return numerator // 24
 
 
-def sum_squares_totatives(n: int, *, sieve: Sieve | None = None) -> int:
+def sum_squares_totatives(n: int) -> int:
     """Closed form phi(n)/6 * (2*n*n + m*(-1)^omega(m)) for sum(a^2) over U(n)."""
     _require_n_ge_2(n)
-    primes = distinct_primes(n, sieve)
+    primes = distinct_primes(n)
     phi_n = totient_from_primes(n, primes)
     m = math.prod(primes)
     sign = -1 if len(primes) % 2 else 1
@@ -173,10 +165,10 @@ def sum_squares_totatives(n: int, *, sieve: Sieve | None = None) -> int:
     return numerator // 6
 
 
-def sum_squares_totatives_bruteforce(n: int, *, sieve: Sieve | None = None) -> int:
+def sum_squares_totatives_bruteforce(n: int) -> int:
     """sum(a^2) over U(n) by direct enumeration; twin oracle of the closed form."""
     _require_n_ge_2(n)
-    return _sum_squares(coprime_residues(n, distinct_primes(n, sieve)))
+    return _sum_squares(coprime_residues(n))
 
 
 def mobius_transform_sum(n: int, f: Callable[[int], Fraction | int]):
@@ -184,7 +176,6 @@ def mobius_transform_sum(n: int, f: Callable[[int], Fraction | int]):
 
     Contract: equals sum(f(a) for a in U(n)) for any f defined on 1..n.
     """
-    _require_n_ge_1(n)
     total = 0
     for d, mu in squarefree_divisors_from(distinct_primes(n)):
         inner = sum(f(d * k) for k in range(1, n // d + 1))
@@ -192,14 +183,13 @@ def mobius_transform_sum(n: int, f: Callable[[int], Fraction | int]):
     return total
 
 
-def nu_weighted_sum_bruteforce(n: int, *, sieve: Sieve | None = None) -> Fraction:
+def nu_weighted_sum_bruteforce(n: int) -> Fraction:
     """sum(nu(n, a) * a) over U(n), exact, by direct enumeration."""
     _require_n_ge_2(n)
-    primes = distinct_primes(n, sieve)
-    return _nu_weighted_sum(coprime_residues(n, primes), primes)
+    return _nu_weighted_sum(coprime_residues(n), distinct_primes(n))
 
 
-def s_double_sum(n: int, *, sieve: Sieve | None = None) -> Fraction:
+def s_double_sum(n: int) -> Fraction:
     """S(n) = n * sum(mu(d1) mu(d2) s(n/d1, n/d2)) over divisor pairs of n.
 
     Every Dedekind sum is evaluated with dedekind_fast; divisors with
@@ -208,7 +198,7 @@ def s_double_sum(n: int, *, sieve: Sieve | None = None) -> Fraction:
     is accumulated as an integer numerator over 12*n and S(n) = total / 12.
     """
     _require_n_ge_2(n)
-    sq = squarefree_divisors_from(distinct_primes(n, sieve))
+    sq = squarefree_divisors_from(distinct_primes(n))
     common = 12 * n
     total = 0
     for d1, mu1 in sq:
@@ -218,20 +208,19 @@ def s_double_sum(n: int, *, sieve: Sieve | None = None) -> Fraction:
     return Fraction(total, 12)
 
 
-def s_closed_form(n: int, *, sieve: Sieve | None = None) -> Fraction:
+def s_closed_form(n: int) -> Fraction:
     """S(n) in closed form: phi(n)/24 * (2*(-1)^omega(m)*phi(m) + 2^omega(n))."""
     _require_n_ge_2(n)
-    primes = distinct_primes(n, sieve)
+    primes = distinct_primes(n)
     phi_n = totient_from_primes(n, primes)
     phi_m = math.prod(p - 1 for p in primes)
     sign = -1 if len(primes) % 2 else 1
     return Fraction(phi_n * (2 * sign * phi_m + (1 << len(primes))), 24)
 
 
-def delange_double_sum(n: int, *, sieve: Sieve | None = None) -> Fraction:
+def delange_double_sum(n: int) -> Fraction:
     """sum(mu(d1) mu(d2) * d1*d2/n^2 * gcd(n/d1, n/d2)^2) over divisor pairs."""
-    _require_n_ge_1(n)
-    sq = squarefree_divisors_from(distinct_primes(n, sieve))
+    sq = squarefree_divisors_from(distinct_primes(n))
     numerator = 0
     for d1, mu1 in sq:
         for d2, mu2 in sq:
@@ -240,14 +229,13 @@ def delange_double_sum(n: int, *, sieve: Sieve | None = None) -> Fraction:
     return Fraction(numerator, n * n)
 
 
-def delange_closed_form(n: int, *, sieve: Sieve | None = None) -> Fraction:
+def delange_closed_form(n: int) -> Fraction:
     """Delange's closed form for the gcd double sum: 2^omega(n) * phi(n) / n."""
-    _require_n_ge_1(n)
-    primes = distinct_primes(n, sieve)
+    primes = distinct_primes(n)
     return Fraction((1 << len(primes)) * totient_from_primes(n, primes), n)
 
 
-def verify_chain(n: int, *, sieve: Sieve | None = None) -> list[IdentityResult]:
+def verify_chain(n: int) -> list[IdentityResult]:
     """Exactly compare both sides of every link of the proof chain at n.
 
     Links are reported individually (never fail-fast) so a broken identity
@@ -263,8 +251,8 @@ def verify_chain(n: int, *, sieve: Sieve | None = None) -> list[IdentityResult]:
       spence_formula       sum(j * a_j) vs the full closed form
     """
     _require_n_ge_2(n)
-    primes = distinct_primes(n, sieve)
-    residues = coprime_residues(n, primes)
+    primes = distinct_primes(n)
+    residues = coprime_residues(n)
     phi_n = len(residues)
 
     jaj = _sum_j_aj(residues)
@@ -274,7 +262,7 @@ def verify_chain(n: int, *, sieve: Sieve | None = None) -> list[IdentityResult]:
     )
     sum_sq = _sum_squares(residues)
     nu_weighted = _nu_weighted_sum(residues, primes)
-    s_dbl = s_double_sum(n, sieve=sieve)
+    s_dbl = s_double_sum(n)
 
     def link(tag: str, lhs, rhs) -> IdentityResult:
         lhs, rhs = Fraction(lhs), Fraction(rhs)
@@ -287,13 +275,13 @@ def verify_chain(n: int, *, sieve: Sieve | None = None) -> list[IdentityResult]:
             theta_weighted,
             Fraction(phi_n, n) * sum_sq - nu_weighted,
         ),
-        link("sum_of_squares", sum_sq, sum_squares_totatives(n, sieve=sieve)),
+        link("sum_of_squares", sum_sq, sum_squares_totatives(n)),
         link("nu_weighted_sum", nu_weighted, Fraction(-n * phi_n, 4) + s_dbl),
-        link("dedekind_double_sum", s_dbl, s_closed_form(n, sieve=sieve)),
+        link("dedekind_double_sum", s_dbl, s_closed_form(n)),
         link(
             "delange_product",
-            delange_double_sum(n, sieve=sieve),
-            delange_closed_form(n, sieve=sieve),
+            delange_double_sum(n),
+            delange_closed_form(n),
         ),
-        link("spence_formula", jaj, spence_closed_form(n, sieve=sieve)),
+        link("spence_formula", jaj, spence_closed_form(n)),
     ]

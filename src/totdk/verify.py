@@ -7,15 +7,17 @@ A suite maps each n of a range to a list of exact identity checks:
   dedekind  fast evaluator vs naive O(a) oracle, for a = n and b = 1..range end
   all       chain + dedekind
 
-Ranges may be sharded across worker processes; shards are contiguous and
-merged in ascending order, so the report content is identical for any
-worker count.  JSON and CSV renderings carry no timing data for the same
-reason: byte-identical reports are the contract, and wall-clock time is
-reported separately (human format and stderr).
+Ranges may be sharded across worker processes, one process per shard;
+shards are contiguous and merged in ascending order, so the report content
+is identical for any worker count.  JSON and CSV renderings carry no timing
+data for the same reason: byte-identical reports are the contract, and
+wall-clock time is reported separately (human format and stderr).  Shards
+that factorize run inside one `with Sieve(end):` scope each.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -93,10 +95,10 @@ class VerificationReport:
         raise DomainError(f"unknown format: {fmt}")
 
 
-def check_spence(n: int, sieve: Sieve | None = None) -> list[IdentityResult]:
+def check_spence(n: int) -> list[IdentityResult]:
     """Single exact check of the formula at n (brute force vs closed form)."""
-    lhs = Fraction(sum_j_aj_bruteforce(n, sieve=sieve))
-    rhs = Fraction(spence_closed_form(n, sieve=sieve))
+    lhs = Fraction(sum_j_aj_bruteforce(n))
+    rhs = Fraction(spence_closed_form(n))
     return [IdentityResult(n, "spence_formula", lhs, rhs, lhs == rhs)]
 
 
@@ -117,17 +119,15 @@ def check_dedekind(n: int, b_max: int) -> list[IdentityResult]:
     return failures
 
 
-def _suite_failures(
-    suite: str, n: int, sieve: Sieve | None, b_max: int
-) -> list[IdentityResult]:
+def _suite_failures(suite: str, n: int, b_max: int) -> list[IdentityResult]:
     if suite == "spence":
-        results = check_spence(n, sieve)
+        results = check_spence(n)
     elif suite == "chain":
-        results = verify_chain(n, sieve=sieve)
+        results = verify_chain(n)
     elif suite == "dedekind":
         results = check_dedekind(n, b_max)
     elif suite == "all":
-        results = verify_chain(n, sieve=sieve) + check_dedekind(n, b_max)
+        results = verify_chain(n) + check_dedekind(n, b_max)
     else:
         raise DomainError(f"unknown suite: {suite}")
     return [r for r in results if not r.matched]
@@ -135,17 +135,17 @@ def _suite_failures(
 
 def _run_shard(args: tuple) -> tuple[int, list[IdentityResult]]:
     suite, start, end, b_max = args
-    sieve = Sieve(end) if suite in ("spence", "chain", "all") else None
     failures: list[IdentityResult] = []
-    for n in range(start, end + 1):
-        failures.extend(_suite_failures(suite, n, sieve, b_max))
+    with Sieve(end) if suite != "dedekind" else contextlib.nullcontext():
+        for n in range(start, end + 1):
+            failures.extend(_suite_failures(suite, n, b_max))
     return end - start + 1, failures
 
 
 def run_suite(
     suite: str, start: int, end: int, *, workers: int = 1
 ) -> VerificationReport:
-    """Run `suite` over [start, end], sharding across `workers` processes.
+    """Run `suite` over [start, end], sharding across at most `workers` processes.
 
     The dedekind suites check b = 1..end for every a = n, so a [1, B] run
     covers the full B x B fast-vs-naive grid.
@@ -174,10 +174,11 @@ def run_suite(
     t0 = time.perf_counter()
     shards = _split_range(start, end, workers)
     jobs = [(suite, s, e, end) for s, e in shards]
-    if workers == 1 or len(jobs) == 1:
+    if len(jobs) == 1:
         outcomes = [_run_shard(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # One process per shard: fork starts all max_workers on the first submit.
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             outcomes = list(pool.map(_run_shard, jobs))
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 

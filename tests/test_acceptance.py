@@ -44,7 +44,6 @@ from totdk import (
     totient,
     verify_chain,
 )
-from totdk.arith import distinct_primes, totient_from_primes
 from totdk.bench import depth_ceiling, lcg_states, run_bench
 
 
@@ -79,10 +78,11 @@ def test_acceptance_spence_exhaustive(criterion, sieve100k):
         assert spence_closed_form(4) == 7
         assert spence_closed_form(5) == 30
         assert spence_closed_form(6) == 11
-        for n in range(2, 100_001):
-            lhs = sum_j_aj_bruteforce(n, sieve=sieve100k)
-            rhs = spence_closed_form(n, sieve=sieve100k)
-            assert lhs == rhs, f"Spence formula mismatch at n={n}: {lhs} != {rhs}"
+        with sieve100k:
+            for n in range(2, 100_001):
+                lhs = sum_j_aj_bruteforce(n)
+                rhs = spence_closed_form(n)
+                assert lhs == rhs, f"Spence formula mismatch at n={n}: {lhs} != {rhs}"
 
 
 # --------------------------------------------------------------- criterion 2
@@ -129,10 +129,11 @@ def test_acceptance_s_identity(criterion, sieve100k):
     with criterion("S(n) double sum == closed form for all 2 <= n <= 2000"):
         assert s_double_sum(5) == Fraction(-1)
         assert s_closed_form(5) == Fraction(-1)
-        for n in range(2, 2001):
-            lhs = s_double_sum(n, sieve=sieve100k)
-            rhs = s_closed_form(n, sieve=sieve100k)
-            assert lhs == rhs, f"S(n) mismatch at n={n}: {lhs} != {rhs}"
+        with sieve100k:
+            for n in range(2, 2001):
+                lhs = s_double_sum(n)
+                rhs = s_closed_form(n)
+                assert lhs == rhs, f"S(n) mismatch at n={n}: {lhs} != {rhs}"
 
 
 # --------------------------------------------------------------- criterion 6
@@ -145,8 +146,9 @@ def test_acceptance_delange_identity(criterion, sieve100k):
                 expected = 2 * (1 - Fraction(1, p))
                 assert delange_double_sum(p**alpha) == expected
         for n in range(1, 10_001):
-            lhs = delange_double_sum(n, sieve=sieve100k)
-            rhs = delange_closed_form(n, sieve=sieve100k)
+            with sieve100k:
+                lhs = delange_double_sum(n)
+                rhs = delange_closed_form(n)
             assert lhs == rhs, f"Delange mismatch at n={n}: {lhs} != {rhs}"
             assert rhs == Fraction(2 ** omega(n) * totient(n), n)
 
@@ -156,11 +158,12 @@ def test_acceptance_delange_identity(criterion, sieve100k):
 
 def test_acceptance_proof_chain(criterion, sieve100k):
     with criterion("all proof-chain links matched for all 2 <= n <= 5000"):
-        for n in range(2, 5001):
-            for r in verify_chain(n, sieve=sieve100k):
-                assert r.matched, (
-                    f"link {r.identity} failed at n={n}: {r.lhs} != {r.rhs}"
-                )
+        with sieve100k:
+            for n in range(2, 5001):
+                for r in verify_chain(n):
+                    assert r.matched, (
+                        f"link {r.identity} failed at n={n}: {r.lhs} != {r.rhs}"
+                    )
 
 
 # --------------------------------------------------------------- criterion 8
@@ -181,12 +184,13 @@ def _check_sawtooth_oddness():
 def _check_vanishing_totative_sums(sieve):
     # sum of sawtooth(a/d) over a in U(n) is 0 for every n <= 3000 and d | n;
     # with r = a mod d the numerator over 2d is sum of (2r - d) where r != 0
-    for n in range(2, 3001):
-        residues = coprime_residues(n, sieve.distinct_primes(n))
-        for d in divisors(n):
-            r = residues % d
-            numerator = int(((2 * r - d) * (r != 0)).sum())
-            assert numerator == 0, f"totative sawtooth sum nonzero: n={n}, d={d}"
+    with sieve:
+        for n in range(2, 3001):
+            residues = coprime_residues(n)
+            for d in divisors(n):
+                r = residues % d
+                numerator = int(((2 * r - d) * (r != 0)).sum())
+                assert numerator == 0, f"totative sawtooth sum nonzero: n={n}, d={d}"
 
 
 def _check_vanishing_row_sums():
@@ -251,21 +255,15 @@ def _check_gcd_divisor_identity(sieve):
                 )
 
 
-def _radical(n, sieve):
-    return math.prod(distinct_primes(n, sieve))
-
-
-def _totient(n, sieve):
-    return totient_from_primes(n, distinct_primes(n, sieve))
-
-
 def _check_mod24_integrality(sieve):
     for n in range(2, 20_001):
-        m = _radical(n, sieve)
+        with sieve:
+            m = radical(n)
+            phi_n = totient(n)
+            phi_m = totient(m)
         w = omega(m)
         sign = -1 if w % 2 else 1
-        phi_n = _totient(n, sieve)
-        product = phi_n * (8 * n * phi_n + 6 * n + 2 * sign * _totient(m, sieve) - 2**w)
+        product = phi_n * (8 * n * phi_n + 6 * n + 2 * sign * phi_m - 2**w)
         assert product % 24 == 0, f"24 does not divide the product at n={n}"
 
 
@@ -288,10 +286,11 @@ def _check_periodicity():
 
 def _check_nu_weighted_link(sieve):
     # sum of nu(n, a) * a over U(n) == -n phi(n)/4 + S(n) for 2 <= n <= 2000
-    for n in range(2, 2001):
-        lhs = nu_weighted_sum_bruteforce(n, sieve=sieve)
-        rhs = Fraction(-n * _totient(n, sieve), 4) + s_double_sum(n, sieve=sieve)
-        assert lhs == rhs, f"nu-weighted link failed at n={n}"
+    with sieve:
+        for n in range(2, 2001):
+            lhs = nu_weighted_sum_bruteforce(n)
+            rhs = Fraction(-n * totient(n), 4) + s_double_sum(n)
+            assert lhs == rhs, f"nu-weighted link failed at n={n}"
 
 
 def _check_arith_invariants():

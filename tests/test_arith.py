@@ -1,6 +1,7 @@
 """Integer arithmetic layer: factorization, multiplicative functions, totatives."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -194,9 +195,9 @@ def test_enumeration_bound_is_enforced():
 
 
 def test_sieve_agrees_with_direct_functions():
-    sieve = Sieve(3000)
-    for n in range(1, 3201):  # past 3000, distinct_primes falls back to trial division
-        primes = distinct_primes(n, sieve)
+    with Sieve(3000):  # past 3000, distinct_primes falls back to trial division
+        from_sieve = {n: distinct_primes(n) for n in range(1, 3201)}
+    for n, primes in from_sieve.items():
         assert primes == tuple(p for p, _ in factorize(n))
         assert totient_from_primes(n, primes) == totient(n)
         assert math.prod(primes) == radical(n)
@@ -209,6 +210,103 @@ def test_sieve_range_checks():
         sieve.distinct_primes(101)
     with pytest.raises(DomainError):
         sieve.distinct_primes(0)
+
+
+class CountingSieve(Sieve):
+    """A Sieve that counts the lookups read from its table."""
+
+    def __init__(self, limit):
+        super().__init__(limit)
+        self.lookups = 0
+
+    def distinct_primes(self, n):
+        self.lookups += 1
+        return super().distinct_primes(n)
+
+
+def test_sieve_scope_closes_on_exit_and_on_exception():
+    sieve = CountingSieve(100)
+    distinct_primes(60)
+    with sieve as opened:
+        assert opened is sieve
+        assert distinct_primes(60) == (2, 3, 5)
+    distinct_primes(60)
+    with pytest.raises(ZeroDivisionError):
+        with sieve:
+            distinct_primes(60)
+            1 / 0
+    distinct_primes(60)
+    assert sieve.lookups == 2
+
+
+def test_nested_sieve_scopes_read_the_innermost_and_restore_the_outer():
+    outer, inner, small = CountingSieve(100), CountingSieve(100), CountingSieve(10)
+    with outer:
+        distinct_primes(6)  # outer
+        with inner:
+            distinct_primes(6)  # inner
+            with outer:
+                distinct_primes(6)  # outer, re-entered
+                with outer:
+                    distinct_primes(6)  # outer, re-entered twice
+                distinct_primes(6)  # outer
+            distinct_primes(6)  # inner
+        with small:
+            distinct_primes(50)  # not covered by the innermost: trial division
+            distinct_primes(6)  # small
+        distinct_primes(6)  # outer
+    distinct_primes(6)  # no scope: trial division
+    assert (outer.lookups, inner.lookups, small.lookups) == (5, 2, 1)
+
+
+def test_sieve_scope_is_local_to_its_thread():
+    sieve = CountingSieve(100)
+    with sieve:
+        worker = threading.Thread(target=distinct_primes, args=(60,))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+    assert sieve.lookups == 0
+
+
+def test_one_sieve_opened_in_two_threads_closes_in_each():
+    # The first thread closes its scope while the second's is still open.
+    sieve = CountingSieve(100)
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+    errors = []
+
+    def first():
+        try:
+            with sieve:
+                first_in.set()
+                assert second_in.wait(30)
+            distinct_primes(6)  # closed here
+        except BaseException as e:
+            errors.append(e)
+        finally:
+            first_out.set()
+
+    def second():
+        try:
+            assert first_in.wait(30)
+            with sieve:
+                second_in.set()
+                assert first_out.wait(30)
+                distinct_primes(6)  # still open here
+            distinct_primes(6)  # closed here
+        except BaseException as e:
+            errors.append(e)
+        finally:
+            second_in.set()
+
+    threads = [threading.Thread(target=f) for f in (first, second)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sieve.lookups == 1
 
 
 @settings(max_examples=50)

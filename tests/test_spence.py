@@ -1,5 +1,6 @@
 """Every identity of the proof chain: brute-force twin vs closed form."""
 
+import contextlib
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from totdk import (
     InvariantViolation,
     ResourceLimitError,
     Sieve,
+    coprime_residues,
     dedekind_naive,
     delange_closed_form,
     delange_double_sum,
@@ -36,6 +38,7 @@ from totdk import (
     totient,
     verify_chain,
 )
+from totdk.arith import distinct_primes
 
 # ------------------------------------------------------------------ theta / nu
 
@@ -289,9 +292,9 @@ def test_s_double_sum_prime_closed_form():
 
 
 def test_s_equality_range():
-    sieve = Sieve(400)
-    for n in range(2, 401):
-        assert s_double_sum(n, sieve=sieve) == s_closed_form(n, sieve=sieve)
+    with Sieve(400):
+        for n in range(2, 401):
+            assert s_double_sum(n) == s_closed_form(n)
 
 
 def test_s_double_sum_matches_definition_with_naive_oracle():
@@ -369,9 +372,9 @@ def test_verify_chain_all_matched(n):
 
 
 def test_verify_chain_range():
-    sieve = Sieve(300)
-    for n in range(2, 301):
-        assert all(r.matched for r in verify_chain(n, sieve=sieve))
+    with Sieve(300):
+        for n in range(2, 301):
+            assert all(r.matched for r in verify_chain(n))
 
 
 def test_identity_result_serialization():
@@ -396,12 +399,51 @@ def test_two_omega_spellings_agree():
         assert omega(n) == omega(radical(n))
 
 
-def test_closed_forms_accept_shared_sieve():
-    sieve = Sieve(100)
-    for n in range(2, 101):
-        assert spence_closed_form(n, sieve=sieve) == spence_closed_form(n)
-        assert s_closed_form(n, sieve=sieve) == s_closed_form(n)
-        assert delange_closed_form(n, sieve=sieve) == delange_closed_form(n)
+@pytest.mark.parametrize(
+    "fn",
+    [
+        pytest.param(lambda n: theta(n, Fraction(2 * n, 3)), id="theta"),
+        pytest.param(lambda n: nu(n, Fraction(2 * n, 3)), id="nu"),
+        sum_j_aj_bruteforce,
+        spence_closed_form,
+        sum_squares_totatives,
+        sum_squares_totatives_bruteforce,
+        nu_weighted_sum_bruteforce,
+        s_double_sum,
+        s_closed_form,
+        delange_double_sum,
+        delange_closed_form,
+        verify_chain,
+        distinct_primes,
+        pytest.param(lambda n: coprime_residues(n).tolist(), id="coprime_residues"),
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_values_equal_inside_and_outside_a_sieve_scope(fn):
+    # 2..120 runs past the sieve, where the scope falls back to trial division
+    outside = [fn(n) for n in range(2, 121)]
+    with Sieve(100):
+        inside = [fn(n) for n in range(2, 121)]
+    assert inside == outside
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        pytest.param(lambda n: theta(n, 1), id="theta"),
+        pytest.param(lambda n: nu(n, 1), id="nu"),
+        pytest.param(lambda n: mobius_transform_sum(n, abs), id="mobius_transform_sum"),
+        delange_double_sum,
+        delange_closed_form,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("scoped", [False, True])
+def test_n_below_1_rejected_with_or_without_a_sieve(fn, n, scoped):
+    with Sieve(100) if scoped else contextlib.nullcontext():
+        with pytest.raises(DomainError):
+            fn(n)
 
 
 def test_invariant_violation_is_exported():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import totdk.verify
 from totdk import (
     ENUMERATION_BOUND,
     NAIVE_BOUND,
@@ -100,6 +101,31 @@ def test_spence_reports_identical_across_worker_counts():
     quad = run_suite("spence", 2, 80, workers=4)
     assert solo.to_json() == quad.to_json()
     assert solo.to_csv() == quad.to_csv()
+
+
+def test_pool_has_one_process_per_shard(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs jobs in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(totdk.verify, "ProcessPoolExecutor", InProcessPool)
+    wide = run_suite("spence", 2, 4, workers=64)
+    assert sizes == [3]
+    assert wide.to_json() == run_suite("spence", 2, 4, workers=1).to_json()
+    assert sizes == [3]
 
 
 def test_json_shape():
