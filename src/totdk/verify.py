@@ -7,16 +7,18 @@ A suite maps each n of a range to a list of exact identity checks:
   dedekind  fast evaluator vs naive O(a) oracle, for a = n and b = 1..range end
   all       chain + dedekind
 
-Ranges may be sharded across worker processes, one process per shard;
-shards are contiguous and merged in ascending order, so the report content
-is identical for any worker count.  JSON and CSV renderings carry no timing
-data for the same reason: byte-identical reports are the contract, and
-wall-clock time is reported separately (human format and stderr).  Shards
-that factorize run inside one `with Sieve(end):` scope each.
+Ranges may be sharded across worker processes, one process per shard.
+Shards are contiguous, cut at equal estimated cost (the cost of n grows with
+n, so higher shards hold fewer n), and merged in ascending order, so the
+report content is identical for any worker count.  JSON and CSV renderings
+carry no timing data for the same reason: byte-identical reports are the
+contract, and wall-clock time is reported separately (human format and
+stderr).  Shards that factorize run inside one `with Sieve(end):` scope each.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import io
@@ -172,7 +174,7 @@ def run_suite(
     }
 
     t0 = time.perf_counter()
-    shards = _split_range(start, end, workers)
+    shards = _split_range(suite, start, end, workers)
     jobs = [(suite, s, e, end) for s, e in shards]
     if len(jobs) == 1:
         outcomes = [_run_shard(j) for j in jobs]
@@ -195,15 +197,37 @@ def run_suite(
     )
 
 
-def _split_range(start: int, end: int, parts: int) -> list[tuple[int, int]]:
-    """Contiguous, ascending, near-equal shards covering [start, end]."""
-    total = end - start + 1
-    parts = max(1, min(parts, total))
-    base, extra = divmod(total, parts)
+# Modelled cost of one n is n + _COST_OFFSET[suite]: a fixed cost per n plus
+# work linear in n.  Each offset is intercept / slope of a least-squares line
+# through in-process CPU time per n, fitted on a 2-core Xeon (CPython 3.11,
+# numpy 2.4): spence 8500-12000 over 500..91000; dedekind 20-45 per row, which
+# costs b_max * (a + offset) with b_max the same for every row; `all` 18-49,
+# because its dedekind row dominates.  Chain cost is concave in n (it follows
+# the divisor count), so its fit grows with the range: 1000-1500 over 2..1200,
+# 3500-8300 over 2..10^4; with 4000, two shards of either range stay within
+# a skew of 1.12 under any offset in its interval.
+_COST_OFFSET = {"spence": 10_000, "chain": 4_000, "dedekind": 30, "all": 30}
+
+
+def _split_range(suite: str, start: int, end: int, parts: int) -> list[tuple[int, int]]:
+    """Contiguous, ascending, non-empty shards covering [start, end], cut at
+    equal modelled cost; there are min(parts, end - start + 1) of them."""
+    offset = _COST_OFFSET[suite]
+
+    def prefix_cost(k: int) -> int:  # modelled cost of start..k
+        return (k - start + 1) * offset + (k * (k + 1) - (start - 1) * start) // 2
+
+    ns = range(start, end + 1)
+    parts = max(1, min(parts, len(ns)))
+    total = prefix_cost(end)
     shards = []
     lo = start
-    for i in range(parts):
-        hi = lo + base - 1 + (1 if i < extra else 0)
+    for i in range(1, parts):
+        # Smallest k whose prefix reaches i/parts of the total, kept so that
+        # every shard, this one and the parts - i after it, gets at least one n.
+        k = ns[bisect.bisect_left(ns, i * total, key=lambda n: prefix_cost(n) * parts)]
+        hi = min(max(k, lo), end - (parts - i))
         shards.append((lo, hi))
         lo = hi + 1
+    shards.append((lo, end))
     return shards

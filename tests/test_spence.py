@@ -1,9 +1,13 @@
 """Every identity of the proof chain: brute-force twin vs closed form."""
 
 import contextlib
+import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +42,9 @@ from totdk import (
     totient,
     verify_chain,
 )
+import totdk.spence
 from totdk.arith import distinct_primes
+from totdk.spence import _sum_j_aj
 
 # ------------------------------------------------------------------ theta / nu
 
@@ -195,6 +201,63 @@ def test_bruteforce_exact_at_top_of_enumeration_range(n):
     # the largest prime <= the bound, and 3 * 510510 (seven distinct primes)
     assert sum_j_aj_bruteforce(n) == spence_closed_form(n)
     assert sum_squares_totatives_bruteforce(n) == sum_squares_totatives(n)
+
+
+# ---------------------------------------------------------- shared rank vector
+
+
+@pytest.fixture
+def fresh_ranks(monkeypatch):
+    """Empty the shared rank vector, so the test sees it grow from nothing."""
+
+    def reset():
+        monkeypatch.setattr(totdk.spence, "_ranks", np.arange(1, 1, dtype=np.int64))
+
+    reset()
+    return reset
+
+
+def test_rank_vector_is_read_only(fresh_ranks):
+    assert sum_j_aj_bruteforce(1000) == spence_closed_form(1000)
+    ranks = totdk.spence._ranks
+    assert len(ranks) >= totient(1000)
+    with pytest.raises(ValueError):
+        ranks[0] = 7
+    with pytest.raises(ValueError):
+        ranks[:10] += 1
+    assert ranks[:3].tolist() == [1, 2, 3]
+
+
+def test_sum_j_aj_exact_around_each_doubling_point(fresh_ranks):
+    points = [2**k for k in range(1, 21)] + [ENUMERATION_BOUND]
+    lengths = sorted({1, 2, 3} | {p + d for p in points for d in (-1, 0, 1)})
+    # values below 2**20 keep sum(j * a_j) under 2**63 up to length 2**21
+    values = np.random.default_rng(6).integers(0, 2**20, lengths[-1], dtype=np.int64)
+    running = list(itertools.accumulate(j * a for j, a in enumerate(values.tolist(), 1)))
+    for length in lengths:  # the vector grows at each doubling point
+        assert _sum_j_aj(values[:length]) == running[length - 1]
+        assert len(totdk.spence._ranks) >= length
+    for length in reversed(lengths):  # prefix views of the grown vector
+        assert _sum_j_aj(values[:length]) == running[length - 1]
+
+
+def test_bruteforce_equals_closed_form_in_any_order_and_in_threads(fresh_ranks):
+    ns = range(2, 3001)
+    expected = [spence_closed_form(n) for n in ns]
+    assert [sum_j_aj_bruteforce(n) for n in ns] == expected
+    assert [sum_j_aj_bruteforce(n) for n in reversed(ns)] == expected[::-1]
+
+    fresh_ranks()  # both threads grow the vector, one step by step, one at once
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            up = pool.submit(lambda: [sum_j_aj_bruteforce(n) for n in ns])
+            down = pool.submit(lambda: [sum_j_aj_bruteforce(n) for n in reversed(ns)])
+            assert up.result(timeout=120) == expected
+            assert down.result(timeout=120) == expected[::-1]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_spence_closed_form_integrality_explicit():

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import totdk.verify
 from totdk import (
@@ -188,11 +190,62 @@ def test_render_dispatch():
 
 
 def test_split_range_is_contiguous_partition():
-    for start, end, parts in [(2, 100, 4), (1, 7, 3), (5, 5, 4), (2, 10, 1), (3, 11, 20)]:
-        shards = _split_range(start, end, parts)
-        assert shards[0][0] == start
-        assert shards[-1][1] == end
-        for (lo1, hi1), (lo2, hi2) in zip(shards, shards[1:]):
-            assert lo2 == hi1 + 1
-        assert sum(hi - lo + 1 for lo, hi in shards) == end - start + 1
-        assert all(lo <= hi for lo, hi in shards)
+    for suite in SUITES:
+        for start, end, parts in [(2, 100, 4), (1, 7, 3), (5, 5, 4), (2, 10, 1), (3, 11, 20)]:
+            shards = _split_range(suite, start, end, parts)
+            assert len(shards) == min(parts, end - start + 1)
+            assert shards[0][0] == start
+            assert shards[-1][1] == end
+            for (lo1, hi1), (lo2, hi2) in zip(shards, shards[1:]):
+                assert lo2 == hi1 + 1
+            assert sum(hi - lo + 1 for lo, hi in shards) == end - start + 1
+            assert all(lo <= hi for lo, hi in shards)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    suite=st.sampled_from(SUITES),
+    start=st.integers(1, 10**5),
+    span=st.integers(0, 10**5),
+    parts=st.integers(1, 8),
+)
+def test_split_range_balances_modelled_cost(suite, start, span, parts):
+    end = min(start + span, 10**5)
+    offset = totdk.verify._COST_OFFSET[suite]
+
+    def cost(lo, hi):
+        return (hi - lo + 1) * offset + sum(range(lo, hi + 1))
+
+    shards = _split_range(suite, start, end, parts)
+    assert len(shards) == min(parts, end - start + 1)
+    assert [lo for lo, _ in shards[1:]] == [hi + 1 for _, hi in shards[:-1]]
+    assert (shards[0][0], shards[-1][1]) == (start, end)
+    total = cost(start, end)
+    for lo, hi in shards:
+        assert lo <= hi
+        # each n's cost grows with n, so hi is the shard's costliest n
+        assert cost(lo, hi) * parts <= total + cost(hi, hi) * parts
+    assert _split_range(suite, start, end, parts) == shards
+
+
+@pytest.mark.parametrize(
+    "suite,start,end", [("spence", 2, 400), ("chain", 2, 120), ("dedekind", 1, 24)]
+)
+def test_reports_byte_identical_for_workers_1_to_8(monkeypatch, suite, start, end):
+    # Plant a failure at every 7th n, so the merge order shows in the report;
+    # the pool forks, so its workers inherit the patched function.
+    real = totdk.verify._suite_failures
+
+    def planted(suite, n, b_max):
+        failures = real(suite, n, b_max)
+        if n % 7 == 0:
+            failures.append(IdentityResult(n, "planted", Fraction(n), Fraction(0), False))
+        return failures
+
+    monkeypatch.setattr(totdk.verify, "_suite_failures", planted)
+    solo = run_suite(suite, start, end, workers=1)
+    assert [f.n for f in solo.failures] == [n for n in range(start, end + 1) if n % 7 == 0]
+    for workers in range(2, 9):
+        report = run_suite(suite, start, end, workers=workers)
+        assert report.to_json() == solo.to_json()
+        assert report.to_csv() == solo.to_csv()
