@@ -5,7 +5,7 @@ fractional part minus one half away from integers and 0 at integers.
 Coprimality of the arguments is NOT required; the sum is well defined for
 any positive pair.
 
-`dedekind_fast` reaches the exact value in O(log min(a, b)) integer steps.
+One closed form reaches the exact value in O(log min(a, b)) integer steps.
 Two identities of the sum itself first reduce the pair:
 
   * scaling:      s(b*c, a*c) = s(b, a), so the pair is divided by its gcd;
@@ -19,7 +19,10 @@ algorithm on (k, h) and h' the inverse of h mod k,
     12*k*s(h, k) = k*(q_1 - q_2 + ... + (-1)^(r+1) q_r) + h + h'
                    - k*(3 if r is odd else 1).
 
-The loop keeps only Python ints; one Fraction is built at the end.
+The private entry `_closed_form` runs this in Python ints and returns the
+unreduced numerator and k.  `dedekind_fast` and `dedekind_fast_with_depth`
+each build one Fraction from it; `spence.s_double_sum` sums the numerators
+in integers and builds none per pair.
 
 Two independent oracles stay for the tests: `dedekind_naive` walks the
 definition in O(a), and `reciprocity_rhs` is the right-hand side of the
@@ -89,23 +92,32 @@ def reciprocity_rhs(a: int, b: int) -> Fraction:
 
 def dedekind_fast(b: int, a: int) -> Fraction:
     """s(b, a), exactly equal to dedekind_naive(b, a), in O(log min(a, b)) steps."""
-    return dedekind_fast_with_depth(b, a)[0]
+    _require_valid(b, a)
+    numerator, k, _ = _closed_form(b, a)
+    return Fraction(numerator, 12 * k)
 
 
 def dedekind_fast_with_depth(b: int, a: int) -> tuple[Fraction, int]:
-    """Like dedekind_fast, also returning r, the length of Euclid's algorithm.
+    """Like dedekind_fast, also returning r, the length of Euclid's algorithm."""
+    _require_valid(b, a)
+    numerator, k, depth = _closed_form(b, a)
+    return Fraction(numerator, 12 * k), depth
+
+
+def _closed_form(b: int, a: int) -> tuple[int, int, int]:
+    """(N, k, r) with s(b, a) = N / (12*k), unreduced, k dividing a, and r the
+    length of Euclid's algorithm; a >= 1 and b >= 0 are the caller's to check.
 
     The pair is divided by its gcd (scaling) and b reduced mod a
     (periodicity), leaving a coprime pair 0 <= h < k; h = 0 gives
     s(0, k) = 0 at depth 0.  Otherwise the closed form in the module
     docstring sums the Euclid quotients of (k, h) with alternating signs.
     """
-    _require_valid(b, a)
     g = math.gcd(b, a)
     k = a // g
     h = (b // g) % k
     if not h:
-        return Fraction(0), 0
+        return 0, k, 0
     x, y = k, h
     alternating = 0
     sign = 1
@@ -117,4 +129,4 @@ def dedekind_fast_with_depth(b: int, a: int) -> tuple[Fraction, int]:
         x, y = y, r
         depth += 1
     numerator = k * alternating + h + pow(h, -1, k) - k * (3 if depth % 2 else 1)
-    return Fraction(numerator, 12 * k), depth
+    return numerator, k, depth

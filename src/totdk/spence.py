@@ -41,7 +41,8 @@ from .arith import (
     squarefree_divisors_from,
     totient_from_primes,
 )
-from .dedekind import dedekind_fast
+# dedekind_fast is not called here; perfbench/tracing.py wraps this module's name.
+from .dedekind import _closed_form, dedekind_fast  # noqa: F401
 from .errors import DomainError, InvariantViolation
 from .rational import format_rational, rat_frac
 
@@ -101,7 +102,8 @@ def nu(n: int, x: Fraction | int) -> Fraction:
 
 
 # Residue kernels: exact int64 reductions over the ascending totatives of n.
-# coprime_residues refuses n > ENUMERATION_BOUND, which keeps them exact.
+# coprime_residues refuses n > ENUMERATION_BOUND, which keeps them exact: each
+# dot product below sums fewer than n terms, each below n**2.
 
 # Read-only ranks 1, 2, 3, ... shared by every _sum_j_aj call.  A fresh arange
 # per n, next to coprime_residues' own arrays, page-faults at large phi(n):
@@ -128,16 +130,33 @@ def _sum_squares(residues: np.ndarray) -> int:
     return int(residues @ residues)
 
 
-def _nu_weighted_sum(residues: np.ndarray, primes: Sequence[int]) -> Fraction:
-    # frac(a/d) = (a mod d) / d for integer a, so the sum is assembled over the
-    # common denominator m = radical(n) in integer arithmetic; d = 1 adds 0.
+# Elements of one divmod block in _theta_nu_sums, which holds
+# max(1, _BLOCK_ELEMENTS // phi(n)) divisor rows: a small n takes all of its
+# rows in one numpy call; once phi(n) > _BLOCK_ELEMENTS a block is one row,
+# the size a per-divisor loop would use.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _theta_nu_sums(residues: np.ndarray, primes: Sequence[int]) -> tuple[int, int]:
+    """(sum(theta(n, a) * a), m * sum(nu(n, a) * a)) over U(n), m = radical(n).
+
+    floor(a/d) and a mod d come from one divmod over a block of divisor rows,
+    then two int64 mat-vec products; the Moebius weights, and m/d, which puts
+    frac(a/d) = (a mod d)/d over the common denominator m, apply in Python ints.
+    """
     m = math.prod(primes)
-    numerator = sum(
-        mu * (m // d) * int((residues % d) @ residues)
-        for d, mu in squarefree_divisors_from(primes)
-        if d > 1
-    )
-    return Fraction(numerator, m)
+    pairs = squarefree_divisors_from(primes)
+    ds = np.array([d for d, _ in pairs], dtype=np.int64)
+    rows = max(1, _BLOCK_ELEMENTS // len(residues))
+    theta_weighted = nu_numerator = 0
+    for lo in range(0, len(pairs), rows):
+        floors, rems = np.divmod(residues, ds[lo : lo + rows, None])
+        for (d, mu), f, r in zip(
+            pairs[lo : lo + rows], (floors @ residues).tolist(), (rems @ residues).tolist()
+        ):
+            theta_weighted += mu * f
+            nu_numerator += mu * (m // d) * r
+    return theta_weighted, nu_numerator
 
 
 def sum_j_aj_bruteforce(n: int) -> int:
@@ -202,25 +221,26 @@ def mobius_transform_sum(n: int, f: Callable[[int], Fraction | int]):
 def nu_weighted_sum_bruteforce(n: int) -> Fraction:
     """sum(nu(n, a) * a) over U(n), exact, by direct enumeration."""
     _require_n_ge_2(n)
-    return _nu_weighted_sum(coprime_residues(n), distinct_primes(n))
+    primes = distinct_primes(n)
+    return Fraction(_theta_nu_sums(coprime_residues(n), primes)[1], math.prod(primes))
 
 
 def s_double_sum(n: int) -> Fraction:
     """S(n) = n * sum(mu(d1) mu(d2) s(n/d1, n/d2)) over divisor pairs of n.
 
-    Every Dedekind sum is evaluated with dedekind_fast; divisors with
-    mu = 0 contribute nothing and are skipped.  Each s(n/d1, n/d2) has a
-    denominator dividing 12*(n/d2), which divides 12*n, so the double sum
-    is accumulated as an integer numerator over 12*n and S(n) = total / 12.
+    Every Dedekind sum comes from the integer closed form of
+    totdk.dedekind as s(n/d1, n/d2) = N / (12*k) with k dividing n/d2, hence
+    n; divisors with mu = 0 contribute nothing and are skipped.  The double
+    sum is accumulated in integers as a numerator over 12*n, N * (n // k)
+    per pair, and S(n) = total / 12 is the one Fraction built.
     """
     _require_n_ge_2(n)
-    sq = squarefree_divisors_from(distinct_primes(n))
-    common = 12 * n
+    quotients = [(n // d, mu) for d, mu in squarefree_divisors_from(distinct_primes(n))]
     total = 0
-    for d1, mu1 in sq:
-        for d2, mu2 in sq:
-            s = dedekind_fast(n // d1, n // d2)
-            total += mu1 * mu2 * s.numerator * (common // s.denominator)
+    for b, mu1 in quotients:
+        for a, mu2 in quotients:
+            numerator, k, _ = _closed_form(b, a)
+            total += mu1 * mu2 * numerator * (n // k)
     return Fraction(total, 12)
 
 
@@ -270,18 +290,17 @@ def verify_chain(n: int) -> list[IdentityResult]:
     primes = distinct_primes(n)
     residues = coprime_residues(n)
     phi_n = len(residues)
+    m = math.prod(primes)
 
-    jaj = _sum_j_aj(residues)
-    theta_weighted = sum(
-        mu * int((residues // d) @ residues)
-        for d, mu in squarefree_divisors_from(primes)
-    )
+    # Every side is an integer, or an integer numerator over a known
+    # denominator; one Fraction is built per reported value.
+    jaj = Fraction(_sum_j_aj(residues))
+    theta_sum, nu_numerator = _theta_nu_sums(residues, primes)
+    theta_weighted = Fraction(theta_sum)
     sum_sq = _sum_squares(residues)
-    nu_weighted = _nu_weighted_sum(residues, primes)
     s_dbl = s_double_sum(n)
 
-    def link(tag: str, lhs, rhs) -> IdentityResult:
-        lhs, rhs = Fraction(lhs), Fraction(rhs)
+    def link(tag: str, lhs: Fraction, rhs: Fraction) -> IdentityResult:
         return IdentityResult(n, tag, lhs, rhs, lhs == rhs)
 
     return [
@@ -289,15 +308,17 @@ def verify_chain(n: int) -> list[IdentityResult]:
         link(
             "theta_split",
             theta_weighted,
-            Fraction(phi_n, n) * sum_sq - nu_weighted,
+            Fraction(phi_n * sum_sq * m - nu_numerator * n, n * m),
         ),
-        link("sum_of_squares", sum_sq, sum_squares_totatives(n)),
-        link("nu_weighted_sum", nu_weighted, Fraction(-n * phi_n, 4) + s_dbl),
-        link("dedekind_double_sum", s_dbl, s_closed_form(n)),
+        link("sum_of_squares", Fraction(sum_sq), Fraction(sum_squares_totatives(n))),
         link(
-            "delange_product",
-            delange_double_sum(n),
-            delange_closed_form(n),
+            "nu_weighted_sum",
+            Fraction(nu_numerator, m),
+            Fraction(
+                4 * s_dbl.numerator - n * phi_n * s_dbl.denominator, 4 * s_dbl.denominator
+            ),
         ),
-        link("spence_formula", jaj, spence_closed_form(n)),
+        link("dedekind_double_sum", s_dbl, s_closed_form(n)),
+        link("delange_product", delange_double_sum(n), delange_closed_form(n)),
+        link("spence_formula", jaj, Fraction(spence_closed_form(n))),
     ]

@@ -203,10 +203,11 @@ def run_suite(
 # numpy 2.4): spence 8500-12000 over 500..91000; dedekind 20-45 per row, which
 # costs b_max * (a + offset) with b_max the same for every row; `all` 18-49,
 # because its dedekind row dominates.  Chain cost is concave in n (it follows
-# the divisor count), so its fit grows with the range: 1000-1500 over 2..1200,
-# 3500-8300 over 2..10^4; with 4000, two shards of either range stay within
-# a skew of 1.12 under any offset in its interval.
-_COST_OFFSET = {"spence": 10_000, "chain": 4_000, "dedekind": 30, "all": 30}
+# the divisor count), so its fit grows with the range: 1350-1850 over 2..1200,
+# 2750-3900 over 2..10^4 (the minimum of 3 to 7 runs per n); with 2500, two
+# shards of either range stay within a skew of 1.06 under any offset in its
+# interval.
+_COST_OFFSET = {"spence": 10_000, "chain": 2_500, "dedekind": 30, "all": 30}
 
 
 def _split_range(suite: str, start: int, end: int, parts: int) -> list[tuple[int, int]]:

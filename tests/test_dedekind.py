@@ -17,6 +17,7 @@ from totdk import (
     reciprocity_rhs,
     sawtooth,
 )
+from totdk.dedekind import _closed_form
 
 nonzero = st.integers(min_value=-10**6, max_value=10**6).filter(lambda x: x != 0)
 ints = st.integers(min_value=-10**6, max_value=10**6)
@@ -266,6 +267,16 @@ def big_pairs(draw):
 def test_fast_equals_reciprocity_oracle_on_big_pairs(pair):
     b, a = pair
     assert dedekind_fast_with_depth(b, a) == reciprocity_evaluator(b, a)
+
+
+def test_integer_closed_form_equals_naive():
+    # s(b, a) = N / (12k) unreduced, with k | a, at the depth of both oracles
+    for a in range(1, 61):
+        for b in range(0, 2 * a + 1):
+            numerator, k, depth = _closed_form(b, a)
+            assert a % k == 0
+            assert Fraction(numerator, 12 * k) == dedekind_naive(b, a), (b, a)
+            assert depth == dedekind_fast_with_depth(b, a)[1] == reciprocity_evaluator(b, a)[1]
 
 
 def test_fast_rejects_bad_arguments():
