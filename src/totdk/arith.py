@@ -1,11 +1,10 @@
-"""Integer factorization and multiplicative arithmetic functions.
+"""Integer factorization and the arithmetic the identity chain reads from it.
 
-Covers everything the identity chain needs from elementary number theory:
-prime factorization, the Moebius function, Euler's totient, the count and
-product of distinct prime factors, divisor enumeration and totatives.  Code
-that needs only the distinct primes of n gets them from `distinct_primes`,
-which reads the table of the innermost open `with Sieve(limit):` scope when it
-covers n and uses trial division otherwise, so a bulk loop opens one scope.
+Every prime of n comes from `distinct_primes`, which reads the table of the
+innermost open `with Sieve(limit):` scope when it covers n and uses trial
+division (`factorize`) otherwise, so a bulk loop opens one scope.  From the
+primes follow Euler's totient, the square-free divisors with their Moebius
+weights, and the totatives as an int64 array.
 """
 
 from __future__ import annotations
@@ -60,14 +59,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def moebius(n: int) -> int:
-    """0 if n has a squared prime factor, else (-1)**(number of prime factors)."""
-    pairs = factorize(n)
-    if any(e >= 2 for _, e in pairs):
-        return 0
-    return -1 if len(pairs) % 2 else 1
-
-
 def distinct_primes(n: int) -> tuple[int, ...]:
     """Ascending distinct primes of n: from the open Sieve covering n, else trial division."""
     sieves = _open_sieves.get()
@@ -84,40 +75,9 @@ def totient_from_primes(n: int, primes: Sequence[int]) -> int:
     return out
 
 
-def totient(n: int) -> int:
-    """Euler's phi: the number of totatives of n."""
-    return totient_from_primes(n, distinct_primes(n))
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime factors (0 for n = 1)."""
-    return len(distinct_primes(n))
-
-
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n; the square-free part (1 for n = 1)."""
-    return math.prod(distinct_primes(n))
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n in ascending order, including 1 and n."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def squarefree_divisors(n: int) -> list[tuple[int, int]]:
-    """Ascending (d, moebius(d)) for the square-free divisors of n.
-
-    These are exactly the divisors with a nonzero Moebius weight, so a sum of
-    mu(d) * g(d) over all divisors may be taken over this list alone.
-    """
-    return squarefree_divisors_from(distinct_primes(n))
-
-
 def squarefree_divisors_from(primes: Sequence[int]) -> list[tuple[int, int]]:
-    """Square-free divisor/Moebius pairs built from a distinct-prime list."""
+    """Ascending (d, moebius(d)) for the square-free divisors of the n with these
+    distinct primes: the divisors of nonzero Moebius weight."""
     divs = [(1, 1)]
     for p in primes:
         divs += [(d * p, -mu) for d, mu in divs]
@@ -143,11 +103,6 @@ def coprime_residues(n: int) -> np.ndarray:
     for p in distinct_primes(n):
         mask[p::p] = False
     return np.flatnonzero(mask).astype(np.int64, copy=False)
-
-
-def totatives(n: int) -> list[int]:
-    """The ascending totatives of n ([1] for n = 1); the length is totient(n)."""
-    return coprime_residues(n).tolist()
 
 
 class Sieve:

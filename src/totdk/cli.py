@@ -79,21 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_int(parser: argparse.ArgumentParser, text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        parser.error(f"{what} must be an integer, got {text!r}")
-
-
 def _cmd_eval(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
     fn, names = _EVAL[ns.kind]
     if len(ns.args) != len(names):
         parser.error(f"eval {ns.kind} takes {len(names)} argument(s), got {len(ns.args)}")
-    args = [
-        parse_rational(text) if name == "x" else _parse_int(parser, text, name)
-        for name, text in zip(names, ns.args)
-    ]
+    args = []
+    for name, text in zip(names, ns.args):
+        try:
+            args.append(parse_rational(text) if name == "x" else int(text))
+        except (ValueError, DomainError):
+            kind = "a rational p/q" if name == "x" else "an integer"
+            parser.error(f"{name} must be {kind}, got {text!r}")
     print(format_rational(fn(*args)))
     return 0
 

@@ -1,4 +1,4 @@
-"""The sawtooth function ((x)) and Dedekind sums s(b, a).
+"""Dedekind sums s(b, a): the naive definitional sum and the fast closed form.
 
 s(b, a) = sum over k = 1..a of ((k*b/a)) * ((k/a)), with ((x)) equal to the
 fractional part minus one half away from integers and 0 at integers.
@@ -24,10 +24,11 @@ unreduced numerator and k.  `dedekind_fast` and `dedekind_fast_with_depth`
 each build one Fraction from it; `spence.s_double_sum` sums the numerators
 in integers and builds none per pair.
 
-Two independent oracles stay for the tests: `dedekind_naive` walks the
-definition in O(a), and `reciprocity_rhs` is the right-hand side of the
-reciprocity law s(b, a) + s(a, b) = -1/4 + (b/a + 1/(a*b) + a/b)/12 for
-coprime a, b, from which a Euclid-style evaluator can be built.
+`dedekind_naive` walks the definition in O(a); `verify` and `bench` check
+the closed form against it.  The tests' further oracles, the sawtooth ((x))
+and the right-hand side of the reciprocity law
+s(b, a) + s(a, b) = -1/4 + (b/a + 1/(a*b) + a/b)/12 for coprime a, b, live
+in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -36,19 +37,10 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
-from .rational import rat_frac
 
 #: Largest modulus accepted by the O(a) naive evaluator, a resource limit
 #: like ENUMERATION_BOUND; it is a constant, not a setting.
 NAIVE_BOUND = 10**7
-
-
-def sawtooth(x: Fraction | int) -> Fraction:
-    """((x)): 0 at integers, frac(x) - 1/2 otherwise; odd, valued in (-1/2, 1/2)."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return rat_frac(x) - Fraction(1, 2)
 
 
 def _require_valid(b: int, a: int) -> None:
@@ -78,16 +70,6 @@ def dedekind_naive(b: int, a: int) -> Fraction:
         if r:
             total += (2 * r - a) * (2 * k - a)
     return Fraction(total, 4 * a * a)
-
-
-def reciprocity_rhs(a: int, b: int) -> Fraction:
-    """-1/4 + (a/b + 1/(a*b) + b/a)/12, over the common denominator 12*a*b.
-
-    Equals s(a, b) + s(b, a) whenever gcd(a, b) = 1.
-    """
-    if a < 1 or b < 1:
-        raise DomainError(f"reciprocity requires positive arguments, got ({a}, {b})")
-    return Fraction(a * a + b * b + 1 - 3 * a * b, 12 * a * b)
 
 
 def dedekind_fast(b: int, a: int) -> Fraction:

@@ -1,6 +1,6 @@
 """Exact rational arithmetic, backed by fractions.Fraction.
 
-Every sawtooth and Dedekind-sum quantity in this package is a Fraction:
+Every Dedekind-sum and proof-chain quantity in this package is a Fraction:
 arbitrary-precision, always in lowest terms, always with a positive
 denominator.  No floating point enters the computational core; decimal
 rendering, where it exists at all, is display-only.

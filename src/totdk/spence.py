@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -165,19 +165,27 @@ def sum_j_aj_bruteforce(n: int) -> int:
     return _sum_j_aj(coprime_residues(n))
 
 
+def _closed_form_inputs(n: int) -> tuple[tuple[int, ...], int, int, int, int]:
+    """(primes, phi(n), m, phi(m), (-1)^omega(m)) of n > 1, m = radical(n),
+    from one distinct_primes call."""
+    _require_n_ge_2(n)
+    primes = distinct_primes(n)
+    m = phi_m = 1
+    for p in primes:
+        m *= p
+        phi_m *= p - 1
+    sign = -1 if len(primes) % 2 else 1
+    return primes, totient_from_primes(n, primes), m, phi_m, sign
+
+
 def spence_closed_form(n: int) -> int:
     """The closed form phi(n)/24 * (8n phi(n) + 6n + 2 phi(m) (-1)^omega(m) - 2^omega(m)).
 
     m is the radical of n.  The product is divisible by 24 for every n > 1;
     integrality is asserted, not assumed.
     """
-    _require_n_ge_2(n)
-    primes = distinct_primes(n)
-    phi_n = totient_from_primes(n, primes)
-    phi_m = math.prod(p - 1 for p in primes)
-    w = len(primes)
-    sign = -1 if w % 2 else 1
-    numerator = phi_n * (8 * n * phi_n + 6 * n + 2 * phi_m * sign - (1 << w))
+    primes, phi_n, _, phi_m, sign = _closed_form_inputs(n)
+    numerator = phi_n * (8 * n * phi_n + 6 * n + 2 * phi_m * sign - (1 << len(primes)))
     if numerator % 24:
         raise InvariantViolation(
             f"closed form for n={n} not divisible by 24: {numerator}"
@@ -187,42 +195,13 @@ def spence_closed_form(n: int) -> int:
 
 def sum_squares_totatives(n: int) -> int:
     """Closed form phi(n)/6 * (2*n*n + m*(-1)^omega(m)) for sum(a^2) over U(n)."""
-    _require_n_ge_2(n)
-    primes = distinct_primes(n)
-    phi_n = totient_from_primes(n, primes)
-    m = math.prod(primes)
-    sign = -1 if len(primes) % 2 else 1
+    _, phi_n, m, _, sign = _closed_form_inputs(n)
     numerator = phi_n * (2 * n * n + m * sign)
     if numerator % 6:
         raise InvariantViolation(
             f"sum-of-squares closed form for n={n} not divisible by 6: {numerator}"
         )
     return numerator // 6
-
-
-def sum_squares_totatives_bruteforce(n: int) -> int:
-    """sum(a^2) over U(n) by direct enumeration; twin oracle of the closed form."""
-    _require_n_ge_2(n)
-    return _sum_squares(coprime_residues(n))
-
-
-def mobius_transform_sum(n: int, f: Callable[[int], Fraction | int]):
-    """sum over d | n of mu(d) * sum(f(d*k) for k = 1..n/d).
-
-    Contract: equals sum(f(a) for a in U(n)) for any f defined on 1..n.
-    """
-    total = 0
-    for d, mu in squarefree_divisors_from(distinct_primes(n)):
-        inner = sum(f(d * k) for k in range(1, n // d + 1))
-        total += mu * inner
-    return total
-
-
-def nu_weighted_sum_bruteforce(n: int) -> Fraction:
-    """sum(nu(n, a) * a) over U(n), exact, by direct enumeration."""
-    _require_n_ge_2(n)
-    primes = distinct_primes(n)
-    return Fraction(_theta_nu_sums(coprime_residues(n), primes)[1], math.prod(primes))
 
 
 def s_double_sum(n: int) -> Fraction:
@@ -246,11 +225,7 @@ def s_double_sum(n: int) -> Fraction:
 
 def s_closed_form(n: int) -> Fraction:
     """S(n) in closed form: phi(n)/24 * (2*(-1)^omega(m)*phi(m) + 2^omega(n))."""
-    _require_n_ge_2(n)
-    primes = distinct_primes(n)
-    phi_n = totient_from_primes(n, primes)
-    phi_m = math.prod(p - 1 for p in primes)
-    sign = -1 if len(primes) % 2 else 1
+    primes, phi_n, _, phi_m, sign = _closed_form_inputs(n)
     return Fraction(phi_n * (2 * sign * phi_m + (1 << len(primes))), 24)
 
 
@@ -286,11 +261,9 @@ def verify_chain(n: int) -> list[IdentityResult]:
       delange_product      gcd double sum vs 2^omega(n)*phi(n)/n
       spence_formula       sum(j * a_j) vs the full closed form
     """
-    _require_n_ge_2(n)
-    primes = distinct_primes(n)
+    primes, _, m, _, _ = _closed_form_inputs(n)
     residues = coprime_residues(n)
     phi_n = len(residues)
-    m = math.prod(primes)
 
     # Every side is an integer, or an integer numerator over a known
     # denominator; one Fraction is built per reported value.
@@ -300,25 +273,21 @@ def verify_chain(n: int) -> list[IdentityResult]:
     sum_sq = _sum_squares(residues)
     s_dbl = s_double_sum(n)
 
-    def link(tag: str, lhs: Fraction, rhs: Fraction) -> IdentityResult:
-        return IdentityResult(n, tag, lhs, rhs, lhs == rhs)
-
-    return [
-        link("theta_reindex", jaj, theta_weighted),
-        link(
-            "theta_split",
-            theta_weighted,
-            Fraction(phi_n * sum_sq * m - nu_numerator * n, n * m),
-        ),
-        link("sum_of_squares", Fraction(sum_sq), Fraction(sum_squares_totatives(n))),
-        link(
-            "nu_weighted_sum",
+    sides = (
+        (jaj, theta_weighted),
+        (theta_weighted, Fraction(phi_n * sum_sq * m - nu_numerator * n, n * m)),
+        (Fraction(sum_sq), Fraction(sum_squares_totatives(n))),
+        (
             Fraction(nu_numerator, m),
             Fraction(
                 4 * s_dbl.numerator - n * phi_n * s_dbl.denominator, 4 * s_dbl.denominator
             ),
         ),
-        link("dedekind_double_sum", s_dbl, s_closed_form(n)),
-        link("delange_product", delange_double_sum(n), delange_closed_form(n)),
-        link("spence_formula", jaj, Fraction(spence_closed_form(n))),
+        (s_dbl, s_closed_form(n)),
+        (delange_double_sum(n), delange_closed_form(n)),
+        (jaj, Fraction(spence_closed_form(n))),
+    )
+    return [
+        IdentityResult(n, tag, lhs, rhs, lhs == rhs)
+        for tag, (lhs, rhs) in zip(CHAIN_IDENTITIES, sides, strict=True)
     ]

@@ -1,0 +1,91 @@
+"""Independent oracles the tests check the library against.
+
+None of these is on a path that `cli`, `verify` or `bench` runs: each is a
+second way to a quantity the library computes, kept here so that a test can
+compare the two.  The brute-force twins call the library's own int64 residue
+kernels, so the checks at the top of the enumeration range still exercise
+the production code.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Callable
+
+from totdk.arith import (
+    coprime_residues,
+    distinct_primes,
+    factorize,
+    squarefree_divisors_from,
+)
+from totdk.errors import DomainError
+from totdk.rational import rat_frac
+from totdk.spence import _require_n_ge_2, _sum_squares, _theta_nu_sums
+
+# ------------------------------------------------------------------ arithmetic
+
+
+def moebius(n: int) -> int:
+    """0 if n has a squared prime factor, else (-1)**(number of prime factors)."""
+    pairs = factorize(n)
+    if any(e >= 2 for _, e in pairs):
+        return 0
+    return -1 if len(pairs) % 2 else 1
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n in ascending order, including 1 and n."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+# -------------------------------------------------------------- Dedekind sums
+
+
+def sawtooth(x: Fraction | int) -> Fraction:
+    """((x)): 0 at integers, frac(x) - 1/2 otherwise; odd, valued in (-1/2, 1/2)."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return Fraction(0)
+    return rat_frac(x) - Fraction(1, 2)
+
+
+def reciprocity_rhs(a: int, b: int) -> Fraction:
+    """-1/4 + (a/b + 1/(a*b) + b/a)/12, over the common denominator 12*a*b.
+
+    Equals s(a, b) + s(b, a) whenever gcd(a, b) = 1.
+    """
+    if a < 1 or b < 1:
+        raise DomainError(f"reciprocity requires positive arguments, got ({a}, {b})")
+    return Fraction(a * a + b * b + 1 - 3 * a * b, 12 * a * b)
+
+
+# ------------------------------------------------------------ the proof chain
+
+
+def sum_squares_totatives_bruteforce(n: int) -> int:
+    """sum(a^2) over U(n) by direct enumeration; twin oracle of the closed form."""
+    _require_n_ge_2(n)
+    return _sum_squares(coprime_residues(n))
+
+
+def mobius_transform_sum(n: int, f: Callable[[int], Fraction | int]):
+    """sum over d | n of mu(d) * sum(f(d*k) for k = 1..n/d).
+
+    Contract: equals sum(f(a) for a in U(n)) for any f defined on 1..n.
+    """
+    total = 0
+    for d, mu in squarefree_divisors_from(distinct_primes(n)):
+        inner = sum(f(d * k) for k in range(1, n // d + 1))
+        total += mu * inner
+    return total
+
+
+def nu_weighted_sum_bruteforce(n: int) -> Fraction:
+    """sum(nu(n, a) * a) over U(n), exact, by direct enumeration."""
+    _require_n_ge_2(n)
+    primes = distinct_primes(n)
+    return Fraction(_theta_nu_sums(coprime_residues(n), primes)[1], math.prod(primes))

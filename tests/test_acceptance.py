@@ -18,6 +18,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import (
+    divisors,
+    mobius_transform_sum,
+    moebius,
+    nu_weighted_sum_bruteforce,
+    reciprocity_rhs,
+    sawtooth,
+)
 from totdk import (
     Sieve,
     coprime_residues,
@@ -26,24 +34,15 @@ from totdk import (
     dedekind_naive,
     delange_closed_form,
     delange_double_sum,
-    divisors,
-    mobius_transform_sum,
-    moebius,
     nu,
-    nu_weighted_sum_bruteforce,
-    omega,
-    radical,
-    reciprocity_rhs,
     s_closed_form,
     s_double_sum,
-    sawtooth,
     spence_closed_form,
     sum_j_aj_bruteforce,
     theta,
-    totatives,
-    totient,
     verify_chain,
 )
+from totdk.arith import distinct_primes, totient_from_primes
 from totdk.bench import depth_ceiling, lcg_states, run_bench
 
 
@@ -150,7 +149,8 @@ def test_acceptance_delange_identity(criterion, sieve100k):
                 lhs = delange_double_sum(n)
                 rhs = delange_closed_form(n)
             assert lhs == rhs, f"Delange mismatch at n={n}: {lhs} != {rhs}"
-            assert rhs == Fraction(2 ** omega(n) * totient(n), n)
+            primes = distinct_primes(n)
+            assert rhs == Fraction(2 ** len(primes) * totient_from_primes(n, primes), n)
 
 
 # --------------------------------------------------------------- criterion 7
@@ -205,7 +205,7 @@ def _check_vanishing_row_sums():
 
 def _check_theta_nu_identity():
     for n in range(1, 1001):
-        ratio = Fraction(totient(n), n)
+        ratio = Fraction(totient_from_primes(n, distinct_primes(n)), n)
         xs = [
             Fraction(0),
             Fraction(1),
@@ -240,7 +240,7 @@ def _check_theta_counting(sieve):
 
 
 def _squarefree_pairs(n):
-    return [(d, moebius(d)) for d in divisors(radical(n))]
+    return [(d, moebius(d)) for d in divisors(math.prod(distinct_primes(n)))]
 
 
 def _check_gcd_divisor_identity(sieve):
@@ -258,10 +258,10 @@ def _check_gcd_divisor_identity(sieve):
 def _check_mod24_integrality(sieve):
     for n in range(2, 20_001):
         with sieve:
-            m = radical(n)
-            phi_n = totient(n)
-            phi_m = totient(m)
-        w = omega(m)
+            m = math.prod(distinct_primes(n))
+            phi_n = totient_from_primes(n, distinct_primes(n))
+            phi_m = totient_from_primes(m, distinct_primes(m))
+        w = len(distinct_primes(m))
         sign = -1 if w % 2 else 1
         product = phi_n * (8 * n * phi_n + 6 * n + 2 * sign * phi_m - 2**w)
         assert product % 24 == 0, f"24 does not divide the product at n={n}"
@@ -269,7 +269,7 @@ def _check_mod24_integrality(sieve):
 
 def _check_mobius_transform_contract():
     for n in range(1, 501):
-        members = list(totatives(n))
+        members = coprime_residues(n).tolist()
         for f in (lambda x: x, lambda x: x * x, lambda x: x**3):
             assert mobius_transform_sum(n, f) == sum(f(a) for a in members)
         for d in divisors(n):
@@ -289,20 +289,23 @@ def _check_nu_weighted_link(sieve):
     with sieve:
         for n in range(2, 2001):
             lhs = nu_weighted_sum_bruteforce(n)
-            rhs = Fraction(-n * totient(n), 4) + s_double_sum(n)
+            phi_n = totient_from_primes(n, distinct_primes(n))
+            rhs = Fraction(-n * phi_n, 4) + s_double_sum(n)
             assert lhs == rhs, f"nu-weighted link failed at n={n}"
 
 
 def _check_arith_invariants():
     for n in range(1, 3001):
         assert sum(moebius(d) for d in divisors(n)) == (1 if n == 1 else 0)
-        m = radical(n)
-        assert totient(n) * m == totient(m) * n
-        assert omega(n) == omega(m)
+        m = math.prod(distinct_primes(n))
+        phi_n = totient_from_primes(n, distinct_primes(n))
+        assert phi_n * m == totient_from_primes(m, distinct_primes(m)) * n
+        assert len(distinct_primes(n)) == len(distinct_primes(m))
     for n in range(1, 2001):
-        assert len(totatives(n)) == totient(n)
+        assert len(coprime_residues(n)) == totient_from_primes(n, distinct_primes(n))
     for a, b in [(3, 4), (8, 9), (5, 12), (7, 10), (25, 36), (11, 13)]:
-        assert totient(a * b) == totient(a) * totient(b)
+        phi_a, phi_b = (totient_from_primes(k, distinct_primes(k)) for k in (a, b))
+        assert totient_from_primes(a * b, distinct_primes(a * b)) == phi_a * phi_b
         assert moebius(a * b) == moebius(a) * moebius(b)
 
 

