@@ -9,6 +9,7 @@ rendering, where it exists at all, is display-only.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import DomainError
@@ -28,10 +29,11 @@ def format_rational(x: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical "p/q" form (or a bare integer)."""
+    """Parse the canonical "p/q" form (or a bare integer): [+-]?digits(/digits)?."""
+    text = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise DomainError(f"not a rational: {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
         raise DomainError("zero denominator") from None
-    except ValueError:
-        raise DomainError(f"not a rational: {text!r}") from None

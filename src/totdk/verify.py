@@ -7,22 +7,22 @@ A suite maps each n of a range to a list of exact identity checks:
   dedekind  fast evaluator vs naive O(a) oracle, for a = n and b = 1..range end
   all       chain + dedekind
 
-Ranges may be sharded across worker processes, one process per shard.
-Shards are contiguous, cut at equal estimated cost (the cost of n grows with
-n, so higher shards hold fewer n), and merged in ascending order, so the
-report content is identical for any worker count.  JSON and CSV renderings
-carry no timing data for the same reason: byte-identical reports are the
-contract, and wall-clock time is reported separately (human format and
-stderr).  Shards that factorize run inside one `with Sieve(end):` scope each.
+Ranges may be sharded across worker processes.  Blocks of six consecutive n
+are dealt round-robin to the shards, and the shards' failures are merged by a
+stable sort on n; each n lives in one shard, so the report content is
+identical for any worker count.  JSON and CSV renderings carry no timing data
+for the same reason: byte-identical reports are the contract, and wall-clock
+time is reported separately (human format and stderr).  Shards that factorize
+run inside one `with Sieve(end):` scope each.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -34,6 +34,13 @@ from .errors import DomainError
 from .spence import IdentityResult, spence_closed_form, sum_j_aj_bruteforce, verify_chain
 
 SUITES = ("spence", "chain", "dedekind", "all")
+
+# Shards are dealt blocks of this many consecutive n.  The cost of n varies
+# with n mod 2 and n mod 3 (through phi(n)/n and the squarefree-divisor count),
+# and a block of six holds each of those classes once, so every shard gets the
+# same mix.  Dealing single n would put every even n in one shard at 2
+# workers: simulated from measured per-n costs, its chain skew reached 1.14-1.25.
+_BLOCK = 6
 
 
 @dataclass
@@ -136,12 +143,16 @@ def _suite_failures(suite: str, n: int, b_max: int) -> list[IdentityResult]:
 
 
 def _run_shard(args: tuple) -> tuple[int, list[IdentityResult]]:
-    suite, start, end, b_max = args
+    """Check the blocks of _BLOCK n that start at first, first + stride, ... <= end."""
+    suite, first, end, stride = args
+    ns = [
+        n for lo in range(first, end + 1, stride) for n in range(lo, min(lo + _BLOCK, end + 1))
+    ]
     failures: list[IdentityResult] = []
     with Sieve(end) if suite != "dedekind" else contextlib.nullcontext():
-        for n in range(start, end + 1):
-            failures.extend(_suite_failures(suite, n, b_max))
-    return end - start + 1, failures
+        for n in ns:
+            failures.extend(_suite_failures(suite, n, end))
+    return len(ns), failures
 
 
 def run_suite(
@@ -174,18 +185,18 @@ def run_suite(
     }
 
     t0 = time.perf_counter()
-    shards = _split_range(suite, start, end, workers)
-    jobs = [(suite, s, e, end) for s, e in shards]
-    if len(jobs) == 1:
-        outcomes = [_run_shard(j) for j in jobs]
+    shards = min(workers, -(-(end - start + 1) // _BLOCK))
+    jobs = [(suite, start + _BLOCK * i, end, _BLOCK * shards) for i in range(shards)]
+    if shards == 1:
+        outcomes = [_run_shard(jobs[0])]
     else:
-        # One process per shard: fork starts all max_workers on the first submit.
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        # Fork starts all max_workers on the first submit, so never more than the CPUs.
+        with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(_run_shard, jobs))
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     checked = sum(c for c, _ in outcomes)
-    failures = [f for _, shard_failures in outcomes for f in shard_failures]
+    failures = sorted((f for _, fs in outcomes for f in fs), key=lambda f: f.n)
     return VerificationReport(
         suite=suite,
         range_start=start,
@@ -195,40 +206,3 @@ def run_suite(
         elapsed_ms=elapsed_ms,
         config=config,
     )
-
-
-# Modelled cost of one n is n + _COST_OFFSET[suite]: a fixed cost per n plus
-# work linear in n.  Each offset is intercept / slope of a least-squares line
-# through in-process CPU time per n, fitted on a 2-core Xeon (CPython 3.11,
-# numpy 2.4): spence 8500-12000 over 500..91000; dedekind 20-45 per row, which
-# costs b_max * (a + offset) with b_max the same for every row; `all` 18-49,
-# because its dedekind row dominates.  Chain cost is concave in n (it follows
-# the divisor count), so its fit grows with the range: 1350-1850 over 2..1200,
-# 2750-3900 over 2..10^4 (the minimum of 3 to 7 runs per n); with 2500, two
-# shards of either range stay within a skew of 1.06 under any offset in its
-# interval.
-_COST_OFFSET = {"spence": 10_000, "chain": 2_500, "dedekind": 30, "all": 30}
-
-
-def _split_range(suite: str, start: int, end: int, parts: int) -> list[tuple[int, int]]:
-    """Contiguous, ascending, non-empty shards covering [start, end], cut at
-    equal modelled cost; there are min(parts, end - start + 1) of them."""
-    offset = _COST_OFFSET[suite]
-
-    def prefix_cost(k: int) -> int:  # modelled cost of start..k
-        return (k - start + 1) * offset + (k * (k + 1) - (start - 1) * start) // 2
-
-    ns = range(start, end + 1)
-    parts = max(1, min(parts, len(ns)))
-    total = prefix_cost(end)
-    shards = []
-    lo = start
-    for i in range(1, parts):
-        # Smallest k whose prefix reaches i/parts of the total, kept so that
-        # every shard, this one and the parts - i after it, gets at least one n.
-        k = ns[bisect.bisect_left(ns, i * total, key=lambda n: prefix_cost(n) * parts)]
-        hi = min(max(k, lo), end - (parts - i))
-        shards.append((lo, hi))
-        lo = hi + 1
-    shards.append((lo, end))
-    return shards

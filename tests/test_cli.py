@@ -2,9 +2,15 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import totdk
 import totdk.verify
 from totdk import NAIVE_BOUND
 from totdk.cli import DEFAULT_RANGE_CAP, EVAL_KINDS, build_parser, main
@@ -35,6 +41,7 @@ def run_cli(capsys, *argv):
         (("eval", "ssum", "6"), "2/3"),
         (("eval", "delange", "5"), "8/5"),
         (("eval", "delange", "1"), "1"),
+        (("eval", "theta", "6", "--", "-5/2"), "-1"),  # a negative x comes after --
     ],
 )
 def test_eval_prints_exact_value(capsys, argv, expected):
@@ -60,6 +67,9 @@ def test_eval_kind_list():
         ("frobnicate",),  # unknown command
         ("eval", "theta", "6", "abc"),  # not a rational
         ("eval", "nu", "6", "1/0"),  # zero denominator
+        ("eval", "nu", "5", "0.5"),  # decimals are outside the p/q grammar
+        ("eval", "theta", "6", "1e3"),  # so are exponents
+        ("eval", "theta", "6", "1_000"),  # and digit separators
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -168,6 +178,53 @@ def test_verify_interrupt_exits_130(capsys, monkeypatch):
     assert code == 130
     assert out == ""
     assert err == "error: interrupted\n"
+
+
+def _children(pid):
+    return Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs /proc/PID/task/PID/children to see the pool start",
+)
+def test_verify_interrupt_with_two_workers_exits_130():
+    # Ctrl-C at a terminal sends SIGINT to the whole foreground process group.
+    src = str(Path(totdk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["verify", "--suite", "chain", "--from", "2", "--to", "100000", "--allow-slow"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "totdk.cli", *argv, "--workers", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not _children(proc.pid):
+            assert time.monotonic() < deadline, "the pool never started"
+            time.sleep(0.05)
+        time.sleep(0.5)  # let the workers reach the sweep
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert "Traceback" not in err
+        assert err.endswith("error: interrupted\n")
+        assert out == ""
+        deadline = time.monotonic() + 10
+        with pytest.raises(ProcessLookupError):  # no process of the group survives
+            while time.monotonic() < deadline:
+                os.killpg(proc.pid, 0)
+                time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 def test_verify_range_cap_needs_allow_slow(capsys):

@@ -56,7 +56,12 @@ def test_serialization_round_trip(x):
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(DomainError):
-        parse_rational("one half")
-    with pytest.raises(DomainError):
-        parse_rational("1/0")
+    for text in ["one half", "1/0", "0.5", "1e3", "1_000", "1/-2", "1/2/3", "", "/2", "inf"]:
+        with pytest.raises(DomainError):
+            parse_rational(text)
+
+
+def test_parse_accepts_signs_and_whitespace():
+    assert parse_rational(" -5/2 ") == Fraction(-5, 2)
+    assert parse_rational("+4/6") == Fraction(2, 3)
+    assert parse_rational("007") == 7

@@ -1,6 +1,8 @@
 """Range verification: suites, sharding determinism, report rendering."""
 
+import contextlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,32 @@ from totdk import (
     VerificationReport,
     run_suite,
 )
-from totdk.verify import SUITES, _split_range
+from totdk.verify import SUITES
+
+pool_sizes: list[int] = []
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs jobs in this process."""
+
+    def __init__(self, max_workers):
+        pool_sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    monkeypatch.setattr(totdk.verify, "ProcessPoolExecutor", InProcessPool)
+    pool_sizes.clear()
+    return pool_sizes
 
 
 def test_suite_names():
@@ -105,29 +132,24 @@ def test_spence_reports_identical_across_worker_counts():
     assert solo.to_csv() == quad.to_csv()
 
 
-def test_pool_has_one_process_per_shard(monkeypatch):
-    sizes = []
+def test_pool_has_one_process_per_shard(monkeypatch, in_process_pool):
+    monkeypatch.setattr(totdk.verify.os, "cpu_count", lambda: 4)
+    # 2..61 is ten blocks of six, more than the four CPUs
+    trio = run_suite("spence", 2, 61, workers=3)
+    assert in_process_pool == [3]
+    assert trio.to_json() == run_suite("spence", 2, 61, workers=1).to_json()
+    assert in_process_pool == [3]
 
-    class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records its size, runs jobs in this process."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return None
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(totdk.verify, "ProcessPoolExecutor", InProcessPool)
-    wide = run_suite("spence", 2, 4, workers=64)
-    assert sizes == [3]
-    assert wide.to_json() == run_suite("spence", 2, 4, workers=1).to_json()
-    assert sizes == [3]
+def test_pool_never_has_more_processes_than_cpus(monkeypatch, in_process_pool):
+    monkeypatch.setattr(totdk.verify.os, "cpu_count", lambda: 3)
+    wide = run_suite("spence", 2, 601, workers=10**4)  # 100 shards of one block
+    assert in_process_pool == [3]
+    assert wide.checked == 600
+    assert wide.to_json() == run_suite("spence", 2, 601, workers=1).to_json()
+    monkeypatch.setattr(totdk.verify.os, "cpu_count", lambda: None)
+    run_suite("spence", 2, 601, workers=10**4)
+    assert in_process_pool == [3, 1]
 
 
 def test_json_shape():
@@ -189,43 +211,39 @@ def test_render_dispatch():
         report.render("xml")
 
 
-def test_split_range_is_contiguous_partition():
-    for suite in SUITES:
-        for start, end, parts in [(2, 100, 4), (1, 7, 3), (5, 5, 4), (2, 10, 1), (3, 11, 20)]:
-            shards = _split_range(suite, start, end, parts)
-            assert len(shards) == min(parts, end - start + 1)
-            assert shards[0][0] == start
-            assert shards[-1][1] == end
-            for (lo1, hi1), (lo2, hi2) in zip(shards, shards[1:]):
-                assert lo2 == hi1 + 1
-            assert sum(hi - lo + 1 for lo, hi in shards) == end - start + 1
-            assert all(lo <= hi for lo, hi in shards)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     suite=st.sampled_from(SUITES),
     start=st.integers(1, 10**5),
-    span=st.integers(0, 10**5),
-    parts=st.integers(1, 8),
+    span=st.integers(0, 3000),
+    workers=st.integers(1, 8),
 )
-def test_split_range_balances_modelled_cost(suite, start, span, parts):
-    end = min(start + span, 10**5)
-    offset = totdk.verify._COST_OFFSET[suite]
+def test_shards_deal_blocks_of_six(suite, start, span, workers):
+    start = max(start, 1 if suite == "dedekind" else 2)
+    end = start + span
+    shard_ns = []  # the n each shard checked, in the order it checked them
+    real = totdk.verify._run_shard
 
-    def cost(lo, hi):
-        return (hi - lo + 1) * offset + sum(range(lo, hi + 1))
+    def run_shard(job):
+        shard_ns.append([])
+        return real(job)
 
-    shards = _split_range(suite, start, end, parts)
-    assert len(shards) == min(parts, end - start + 1)
-    assert [lo for lo, _ in shards[1:]] == [hi + 1 for _, hi in shards[:-1]]
-    assert (shards[0][0], shards[-1][1]) == (start, end)
-    total = cost(start, end)
-    for lo, hi in shards:
-        assert lo <= hi
-        # each n's cost grows with n, so hi is the shard's costliest n
-        assert cost(lo, hi) * parts <= total + cost(hi, hi) * parts
-    assert _split_range(suite, start, end, parts) == shards
+    def record(suite, n, b_max):
+        shard_ns[-1].append(n)
+        return []
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(totdk.verify, "ProcessPoolExecutor", InProcessPool)
+        mp.setattr(totdk.verify, "_run_shard", run_shard)
+        mp.setattr(totdk.verify, "_suite_failures", record)
+        mp.setattr(totdk.verify, "Sieve", lambda end: contextlib.nullcontext())
+        report = run_suite(suite, start, end, workers=workers)
+    count = end - start + 1
+    assert sorted(n for ns in shard_ns for n in ns) == list(range(start, end + 1))
+    assert len(shard_ns) == min(workers, math.ceil(count / 6))
+    sizes = [len(ns) for ns in shard_ns]
+    assert max(sizes) - min(sizes) <= 6
+    assert report.checked == count
 
 
 @pytest.mark.parametrize(
