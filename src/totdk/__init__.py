@@ -15,7 +15,6 @@ from .arith import (
 from .dedekind import (
     NAIVE_BOUND,
     dedekind_fast,
-    dedekind_fast_with_depth,
     dedekind_naive,
 )
 from .errors import DomainError, InvariantViolation, ResourceLimitError
@@ -50,7 +49,6 @@ __all__ = [
     "VerificationReport",
     "coprime_residues",
     "dedekind_fast",
-    "dedekind_fast_with_depth",
     "dedekind_naive",
     "delange_closed_form",
     "delange_double_sum",

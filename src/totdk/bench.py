@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .dedekind import NAIVE_BOUND, dedekind_fast_with_depth, dedekind_naive
+from .dedekind import NAIVE_BOUND, _closed_form, dedekind_fast, dedekind_naive
 from .errors import DomainError
 
 LCG_MULTIPLIER = 6364136223846793005
@@ -56,7 +56,7 @@ def generate_pairs(count: int, max_a: int, seed: int) -> list[tuple[int, int]]:
 
 
 def depth_ceiling(max_a: int) -> int:
-    """Most Euclid steps (the depth of dedekind_fast_with_depth) for a <= max_a.
+    """Most Euclid steps, the depth `_closed_form` reports, over pairs with a <= max_a.
 
     Lame's bound: a reduced pair 0 < h < k whose Euclidean algorithm takes
     r steps has k >= F(r + 2), with F(1) = F(2) = 1, and consecutive
@@ -78,7 +78,7 @@ def run_bench(count: int, max_a: int, seed: int) -> list[BenchRow]:
         t0 = time.perf_counter()
         slow = dedekind_naive(b, a)
         t1 = time.perf_counter()
-        fast, depth = dedekind_fast_with_depth(b, a)
+        fast = dedekind_fast(b, a)
         t2 = time.perf_counter()
         rows.append(
             BenchRow(
@@ -87,7 +87,7 @@ def run_bench(count: int, max_a: int, seed: int) -> list[BenchRow]:
                 value=fast,
                 naive_seconds=t1 - t0,
                 fast_seconds=t2 - t1,
-                depth=depth,
+                depth=_closed_form(b, a)[2],
                 equal=fast == slow,
             )
         )

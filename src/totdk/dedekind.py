@@ -20,9 +20,10 @@ algorithm on (k, h) and h' the inverse of h mod k,
                    - k*(3 if r is odd else 1).
 
 The private entry `_closed_form` runs this in Python ints and returns the
-unreduced numerator and k.  `dedekind_fast` and `dedekind_fast_with_depth`
-each build one Fraction from it; `spence.s_double_sum` sums the numerators
-in integers and builds none per pair.
+unreduced numerator, k and the Euclid depth r.  `dedekind_fast`, the one
+public front end, checks the pair and builds one Fraction from it;
+`spence.s_double_sum` sums the numerators in integers and builds none per
+pair, and `bench` reads the depth from it.
 
 `dedekind_naive` walks the definition in O(a); `verify` and `bench` check
 the closed form against it.  The tests' further oracles, the sawtooth ((x))
@@ -77,13 +78,6 @@ def dedekind_fast(b: int, a: int) -> Fraction:
     _require_valid(b, a)
     numerator, k, _ = _closed_form(b, a)
     return Fraction(numerator, 12 * k)
-
-
-def dedekind_fast_with_depth(b: int, a: int) -> tuple[Fraction, int]:
-    """Like dedekind_fast, also returning r, the length of Euclid's algorithm."""
-    _require_valid(b, a)
-    numerator, k, depth = _closed_form(b, a)
-    return Fraction(numerator, 12 * k), depth
 
 
 def _closed_form(b: int, a: int) -> tuple[int, int, int]:

@@ -35,7 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from .arith import (
-    ENUMERATION_BOUND,
     coprime_residues,
     distinct_primes,
     squarefree_divisors_from,
@@ -118,8 +117,7 @@ def _sum_j_aj(residues: np.ndarray) -> int:
     length = len(residues)
     ranks = _ranks
     if len(ranks) < length:
-        # Doubling stops at ENUMERATION_BOUND; a longer input still gets its length.
-        size = max(length, min(1 << (length - 1).bit_length(), ENUMERATION_BOUND))
+        size = 1 << (length - 1).bit_length()
         ranks = np.arange(1, size + 1, dtype=np.int64)
         ranks.flags.writeable = False
         _ranks = ranks

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from totdk import NAIVE_BOUND, DomainError, dedekind_fast, dedekind_fast_with_depth
+from totdk import NAIVE_BOUND, DomainError, dedekind_fast
 from totdk.bench import (
     LCG_INCREMENT,
     LCG_MASK,
@@ -16,6 +16,7 @@ from totdk.bench import (
     lcg_states,
     run_bench,
 )
+from totdk.dedekind import _closed_form
 
 
 def test_lcg_recurrence():
@@ -79,7 +80,7 @@ def test_depth_ceiling_grows_slowly():
 def test_depth_ceiling_is_exact_up_to_2000():
     # depth[a][b]: Euclid steps of (a, b) for 0 <= b < a, by the recurrence
     # depth[a][b] = 1 + depth[b][a mod b]; scaling keeps the quotients, so this
-    # is the depth dedekind_fast_with_depth reports for (b, a).
+    # is the depth _closed_form reports for (b, a).
     depth = [[]]
     worst = 0
     for a in range(1, 2001):
@@ -89,7 +90,7 @@ def test_depth_ceiling_is_exact_up_to_2000():
         assert worst == depth_ceiling(a), a
     for a in range(1, 201):
         for b in range(2 * a):
-            assert dedekind_fast_with_depth(b, a)[1] == depth[a][b % a]
+            assert _closed_form(b, a)[2] == depth[a][b % a]
 
 
 def test_format_table_layout():

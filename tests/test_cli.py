@@ -12,7 +12,7 @@ import pytest
 
 import totdk
 import totdk.verify
-from totdk import NAIVE_BOUND
+from totdk import ENUMERATION_BOUND, NAIVE_BOUND
 from totdk.cli import DEFAULT_RANGE_CAP, EVAL_KINDS, build_parser, main
 
 
@@ -245,6 +245,19 @@ def test_verify_range_cap_needs_allow_slow(capsys):
     )
     assert code == 0
     assert "checked=1" in out
+
+
+@pytest.mark.parametrize(
+    "suite,start,bound",
+    [("spence", 2, ENUMERATION_BOUND), ("dedekind", NAIVE_BOUND, NAIVE_BOUND)],
+)
+def test_allow_slow_leaves_the_suite_bound_to_run_suite(capsys, suite, start, bound):
+    # run_suite rejects the range before the sweep starts, so nothing is run
+    end = str(bound + 1)
+    argv = ["verify", "--suite", suite, "--from", str(start), "--to", end, "--allow-slow"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"range end {end} exceeds the {suite} suite's bound {bound}" in err
 
 
 # ---------------------------------------------------------------------- bench

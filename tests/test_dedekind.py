@@ -13,7 +13,6 @@ from totdk import (
     DomainError,
     ResourceLimitError,
     dedekind_fast,
-    dedekind_fast_with_depth,
     dedekind_naive,
 )
 from totdk.dedekind import _closed_form
@@ -223,8 +222,8 @@ def test_fast_depth_is_logarithmic():
     # Euclidean bound: depth <= 2 * log_phi(min(a, b)) + O(1)
     golden = (1 + math.sqrt(5)) / 2
     for b, a in [(1000003, 999983), (10**12 + 39, 10**12 + 61), (2, 10**15)]:
-        value, depth = dedekind_fast_with_depth(b, a)
-        assert value == dedekind_fast(b, a)
+        numerator, k, depth = _closed_form(b, a)
+        assert Fraction(numerator, 12 * k) == dedekind_fast(b, a)
         assert depth <= 2 * math.log(min(a, b) + 1, golden) + 4
 
 
@@ -265,17 +264,17 @@ def big_pairs(draw):
 @given(big_pairs())
 def test_fast_equals_reciprocity_oracle_on_big_pairs(pair):
     b, a = pair
-    assert dedekind_fast_with_depth(b, a) == reciprocity_evaluator(b, a)
+    assert (dedekind_fast(b, a), _closed_form(b, a)[2]) == reciprocity_evaluator(b, a)
 
 
 def test_integer_closed_form_equals_naive():
-    # s(b, a) = N / (12k) unreduced, with k | a, at the depth of both oracles
+    # s(b, a) = N / (12k) unreduced, with k | a, at the reciprocity oracle's depth
     for a in range(1, 61):
         for b in range(0, 2 * a + 1):
             numerator, k, depth = _closed_form(b, a)
             assert a % k == 0
             assert Fraction(numerator, 12 * k) == dedekind_naive(b, a), (b, a)
-            assert depth == dedekind_fast_with_depth(b, a)[1] == reciprocity_evaluator(b, a)[1]
+            assert depth == reciprocity_evaluator(b, a)[1]
 
 
 def test_fast_rejects_bad_arguments():

@@ -65,3 +65,15 @@ def test_every_export_has_a_caller_in_the_package():
         if name not in read and not _is_exception(getattr(totdk, name))
     ]
     assert unread == []
+
+
+def test_enumeration_bound_is_read_only_by_arith_and_verify():
+    # arith defines and enforces the bound; verify checks a range against it
+    # before the sweep and reports it in the config block.
+    package = Path(totdk.__file__).parent
+    readers = {
+        path.stem
+        for path in package.glob("*.py")
+        if "ENUMERATION_BOUND" in _references(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert readers == {"arith", "verify"}
