@@ -29,7 +29,6 @@ from .spence import (
     s_double_sum,
     spence_closed_form,
     sum_j_aj_bruteforce,
-    sum_squares_totatives,
     theta,
     verify_chain,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "s_double_sum",
     "spence_closed_form",
     "sum_j_aj_bruteforce",
-    "sum_squares_totatives",
     "theta",
     "verify_chain",
 ]

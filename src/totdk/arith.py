@@ -3,8 +3,8 @@
 Every prime of n comes from `distinct_primes`, which reads the table of the
 innermost open `with Sieve(limit):` scope when it covers n and uses trial
 division (`factorize`) otherwise, so a bulk loop opens one scope.  From the
-primes follow Euler's totient, the square-free divisors with their Moebius
-weights, and the totatives as an int64 array.
+primes follow the square-free divisors with their Moebius weights and the
+totatives as an int64 array.
 """
 
 from __future__ import annotations
@@ -65,14 +65,6 @@ def distinct_primes(n: int) -> tuple[int, ...]:
     if sieves and n <= sieves[-1].limit:
         return sieves[-1].distinct_primes(n)
     return tuple(p for p, _ in factorize(n))
-
-
-def totient_from_primes(n: int, primes: Sequence[int]) -> int:
-    """Euler's phi of n, given the distinct primes of n."""
-    out = n
-    for p in primes:
-        out = out // p * (p - 1)
-    return out
 
 
 def squarefree_divisors_from(primes: Sequence[int]) -> list[tuple[int, int]]:

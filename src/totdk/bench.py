@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .dedekind import NAIVE_BOUND, _closed_form, dedekind_fast, dedekind_naive
@@ -27,7 +26,6 @@ LCG_MASK = (1 << 64) - 1
 class BenchRow:
     b: int
     a: int
-    value: Fraction
     naive_seconds: float
     fast_seconds: float
     depth: int
@@ -84,7 +82,6 @@ def run_bench(count: int, max_a: int, seed: int) -> list[BenchRow]:
             BenchRow(
                 b=b,
                 a=a,
-                value=fast,
                 naive_seconds=t1 - t0,
                 fast_seconds=t2 - t1,
                 depth=_closed_form(b, a)[2],

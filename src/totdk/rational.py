@@ -1,9 +1,9 @@
 """Exact rational arithmetic, backed by fractions.Fraction.
 
-Every Dedekind-sum and proof-chain quantity in this package is a Fraction:
-arbitrary-precision, always in lowest terms, always with a positive
-denominator.  No floating point enters the computational core; decimal
-rendering, where it exists at all, is display-only.
+Every check in this package is an exact == on integers or on Fractions,
+which are arbitrary-precision, always in lowest terms and always with a
+positive denominator.  No floating point enters the computational core;
+decimal rendering, where it exists at all, is display-only.
 """
 
 from __future__ import annotations

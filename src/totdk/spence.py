@@ -34,12 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import (
-    coprime_residues,
-    distinct_primes,
-    squarefree_divisors_from,
-    totient_from_primes,
-)
+from .arith import coprime_residues, distinct_primes, squarefree_divisors_from
 # dedekind_fast is not called here; perfbench/tracing.py wraps this module's name.
 from .dedekind import _closed_form, dedekind_fast  # noqa: F401
 from .errors import DomainError, InvariantViolation
@@ -135,14 +130,13 @@ def _sum_squares(residues: np.ndarray) -> int:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _theta_nu_sums(residues: np.ndarray, primes: Sequence[int]) -> tuple[int, int]:
+def _theta_nu_sums(residues: np.ndarray, primes: Sequence[int], m: int) -> tuple[int, int]:
     """(sum(theta(n, a) * a), m * sum(nu(n, a) * a)) over U(n), m = radical(n).
 
     floor(a/d) and a mod d come from one divmod over a block of divisor rows,
     then two int64 mat-vec products; the Moebius weights, and m/d, which puts
     frac(a/d) = (a mod d)/d over the common denominator m, apply in Python ints.
     """
-    m = math.prod(primes)
     pairs = squarefree_divisors_from(primes)
     ds = np.array([d for d, _ in pairs], dtype=np.int64)
     rows = max(1, _BLOCK_ELEMENTS // len(residues))
@@ -163,17 +157,29 @@ def sum_j_aj_bruteforce(n: int) -> int:
     return _sum_j_aj(coprime_residues(n))
 
 
-def _closed_form_inputs(n: int) -> tuple[tuple[int, ...], int, int, int, int]:
-    """(primes, phi(n), m, phi(m), (-1)^omega(m)) of n > 1, m = radical(n),
-    from one distinct_primes call."""
-    _require_n_ge_2(n)
+def _closed_forms(n: int) -> tuple[tuple[int, ...], int, int, int, int, int]:
+    """(primes, m, spence, sum_sq, s, delange) of n >= 1, m = radical(n).
+
+    The last four are the closed forms of sum(j * a_j), sum(a^2) over U(n),
+    S(n) and Delange's product as integer numerators over 24, 6, 24 and n,
+    all from one distinct_primes call; phi(n) = n/m * phi(m).
+    """
     primes = distinct_primes(n)
     m = phi_m = 1
     for p in primes:
         m *= p
         phi_m *= p - 1
+    phi_n = n // m * phi_m
     sign = -1 if len(primes) % 2 else 1
-    return primes, totient_from_primes(n, primes), m, phi_m, sign
+    two_omega = 1 << len(primes)
+    return (
+        primes,
+        m,
+        phi_n * (8 * n * phi_n + 6 * n + 2 * sign * phi_m - two_omega),
+        phi_n * (2 * n * n + sign * m),
+        phi_n * (2 * sign * phi_m + two_omega),
+        two_omega * phi_n,
+    )
 
 
 def spence_closed_form(n: int) -> int:
@@ -182,24 +188,13 @@ def spence_closed_form(n: int) -> int:
     m is the radical of n.  The product is divisible by 24 for every n > 1;
     integrality is asserted, not assumed.
     """
-    primes, phi_n, _, phi_m, sign = _closed_form_inputs(n)
-    numerator = phi_n * (8 * n * phi_n + 6 * n + 2 * phi_m * sign - (1 << len(primes)))
+    _require_n_ge_2(n)
+    numerator = _closed_forms(n)[2]
     if numerator % 24:
         raise InvariantViolation(
             f"closed form for n={n} not divisible by 24: {numerator}"
         )
     return numerator // 24
-
-
-def sum_squares_totatives(n: int) -> int:
-    """Closed form phi(n)/6 * (2*n*n + m*(-1)^omega(m)) for sum(a^2) over U(n)."""
-    _, phi_n, m, _, sign = _closed_form_inputs(n)
-    numerator = phi_n * (2 * n * n + m * sign)
-    if numerator % 6:
-        raise InvariantViolation(
-            f"sum-of-squares closed form for n={n} not divisible by 6: {numerator}"
-        )
-    return numerator // 6
 
 
 def s_double_sum(n: int) -> Fraction:
@@ -223,8 +218,8 @@ def s_double_sum(n: int) -> Fraction:
 
 def s_closed_form(n: int) -> Fraction:
     """S(n) in closed form: phi(n)/24 * (2*(-1)^omega(m)*phi(m) + 2^omega(n))."""
-    primes, phi_n, _, phi_m, sign = _closed_form_inputs(n)
-    return Fraction(phi_n * (2 * sign * phi_m + (1 << len(primes))), 24)
+    _require_n_ge_2(n)
+    return Fraction(_closed_forms(n)[4], 24)
 
 
 def delange_double_sum(n: int) -> Fraction:
@@ -240,8 +235,7 @@ def delange_double_sum(n: int) -> Fraction:
 
 def delange_closed_form(n: int) -> Fraction:
     """Delange's closed form for the gcd double sum: 2^omega(n) * phi(n) / n."""
-    primes = distinct_primes(n)
-    return Fraction((1 << len(primes)) * totient_from_primes(n, primes), n)
+    return Fraction(_closed_forms(n)[5], n)
 
 
 def verify_chain(n: int) -> list[IdentityResult]:
@@ -259,14 +253,15 @@ def verify_chain(n: int) -> list[IdentityResult]:
       delange_product      gcd double sum vs 2^omega(n)*phi(n)/n
       spence_formula       sum(j * a_j) vs the full closed form
     """
-    primes, _, m, _, _ = _closed_form_inputs(n)
+    _require_n_ge_2(n)
+    primes, m, spence24, sum_sq6, s24, delange_n = _closed_forms(n)
     residues = coprime_residues(n)
     phi_n = len(residues)
 
     # Every side is an integer, or an integer numerator over a known
     # denominator; one Fraction is built per reported value.
     jaj = Fraction(_sum_j_aj(residues))
-    theta_sum, nu_numerator = _theta_nu_sums(residues, primes)
+    theta_sum, nu_numerator = _theta_nu_sums(residues, primes, m)
     theta_weighted = Fraction(theta_sum)
     sum_sq = _sum_squares(residues)
     s_dbl = s_double_sum(n)
@@ -274,16 +269,16 @@ def verify_chain(n: int) -> list[IdentityResult]:
     sides = (
         (jaj, theta_weighted),
         (theta_weighted, Fraction(phi_n * sum_sq * m - nu_numerator * n, n * m)),
-        (Fraction(sum_sq), Fraction(sum_squares_totatives(n))),
+        (Fraction(sum_sq), Fraction(sum_sq6, 6)),
         (
             Fraction(nu_numerator, m),
             Fraction(
                 4 * s_dbl.numerator - n * phi_n * s_dbl.denominator, 4 * s_dbl.denominator
             ),
         ),
-        (s_dbl, s_closed_form(n)),
-        (delange_double_sum(n), delange_closed_form(n)),
-        (jaj, Fraction(spence_closed_form(n))),
+        (s_dbl, Fraction(s24, 24)),
+        (delange_double_sum(n), Fraction(delange_n, n)),
+        (jaj, Fraction(spence24, 24)),
     )
     return [
         IdentityResult(n, tag, lhs, rhs, lhs == rhs)

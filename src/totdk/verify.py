@@ -22,6 +22,7 @@ import contextlib
 import csv
 import io
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -104,13 +105,6 @@ class VerificationReport:
         raise DomainError(f"unknown format: {fmt}")
 
 
-def check_spence(n: int) -> list[IdentityResult]:
-    """Single exact check of the formula at n (brute force vs closed form)."""
-    lhs = Fraction(sum_j_aj_bruteforce(n))
-    rhs = Fraction(spence_closed_form(n))
-    return [IdentityResult(n, "spence_formula", lhs, rhs, lhs == rhs)]
-
-
 def check_dedekind(n: int, b_max: int) -> list[IdentityResult]:
     """Compare dedekind_fast(b, n) with dedekind_naive(b, n) for b = 1..b_max.
 
@@ -130,8 +124,11 @@ def check_dedekind(n: int, b_max: int) -> list[IdentityResult]:
 
 def _suite_failures(suite: str, n: int, b_max: int) -> list[IdentityResult]:
     if suite == "spence":
-        results = check_spence(n)
-    elif suite == "chain":
+        lhs, rhs = sum_j_aj_bruteforce(n), spence_closed_form(n)
+        if lhs == rhs:
+            return []
+        return [IdentityResult(n, "spence_formula", Fraction(lhs), Fraction(rhs), False)]
+    if suite == "chain":
         results = verify_chain(n)
     elif suite == "dedekind":
         results = check_dedekind(n, b_max)
@@ -190,9 +187,18 @@ def run_suite(
     if shards == 1:
         outcomes = [_run_shard(jobs[0])]
     else:
+        older = set(multiprocessing.active_children())
         # Fork starts all max_workers on the first submit, so never more than the CPUs.
         with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
-            outcomes = list(pool.map(_run_shard, jobs))
+            try:
+                outcomes = list(pool.map(_run_shard, jobs))
+            except BaseException:
+                # Leaving the block would wait for every running shard, even on
+                # Ctrl-C: drop the queued shards and stop the pool's workers.
+                pool.shutdown(wait=False, cancel_futures=True)
+                for worker in set(multiprocessing.active_children()) - older:
+                    worker.terminate()
+                raise
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     checked = sum(c for c, _ in outcomes)

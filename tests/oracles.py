@@ -34,6 +34,11 @@ def moebius(n: int) -> int:
     return -1 if len(pairs) % 2 else 1
 
 
+def totient(n: int) -> int:
+    """Euler's phi from the prime factorization: the product of p**(e-1) * (p-1)."""
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(n))
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in ascending order, including 1 and n."""
     divs = [1]
@@ -88,4 +93,5 @@ def nu_weighted_sum_bruteforce(n: int) -> Fraction:
     """sum(nu(n, a) * a) over U(n), exact, by direct enumeration."""
     _require_n_ge_2(n)
     primes = distinct_primes(n)
-    return Fraction(_theta_nu_sums(coprime_residues(n), primes)[1], math.prod(primes))
+    m = math.prod(primes)
+    return Fraction(_theta_nu_sums(coprime_residues(n), primes, m)[1], m)

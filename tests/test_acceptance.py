@@ -25,6 +25,7 @@ from oracles import (
     nu_weighted_sum_bruteforce,
     reciprocity_rhs,
     sawtooth,
+    totient,
 )
 from totdk import (
     Sieve,
@@ -41,7 +42,7 @@ from totdk import (
     theta,
     verify_chain,
 )
-from totdk.arith import distinct_primes, totient_from_primes
+from totdk.arith import distinct_primes
 from totdk.bench import depth_ceiling, lcg_states, run_bench
 from totdk.dedekind import _closed_form
 
@@ -150,7 +151,7 @@ def test_acceptance_delange_identity(criterion, sieve100k):
                 rhs = delange_closed_form(n)
             assert lhs == rhs, f"Delange mismatch at n={n}: {lhs} != {rhs}"
             primes = distinct_primes(n)
-            assert rhs == Fraction(2 ** len(primes) * totient_from_primes(n, primes), n)
+            assert rhs == Fraction(2 ** len(primes) * totient(n), n)
 
 
 # --------------------------------------------------------------- criterion 7
@@ -205,7 +206,7 @@ def _check_vanishing_row_sums():
 
 def _check_theta_nu_identity():
     for n in range(1, 1001):
-        ratio = Fraction(totient_from_primes(n, distinct_primes(n)), n)
+        ratio = Fraction(totient(n), n)
         xs = [
             Fraction(0),
             Fraction(1),
@@ -259,8 +260,8 @@ def _check_mod24_integrality(sieve):
     for n in range(2, 20_001):
         with sieve:
             m = math.prod(distinct_primes(n))
-            phi_n = totient_from_primes(n, distinct_primes(n))
-            phi_m = totient_from_primes(m, distinct_primes(m))
+            phi_n = totient(n)
+            phi_m = totient(m)
         w = len(distinct_primes(m))
         sign = -1 if w % 2 else 1
         product = phi_n * (8 * n * phi_n + 6 * n + 2 * sign * phi_m - 2**w)
@@ -289,7 +290,7 @@ def _check_nu_weighted_link(sieve):
     with sieve:
         for n in range(2, 2001):
             lhs = nu_weighted_sum_bruteforce(n)
-            phi_n = totient_from_primes(n, distinct_primes(n))
+            phi_n = totient(n)
             rhs = Fraction(-n * phi_n, 4) + s_double_sum(n)
             assert lhs == rhs, f"nu-weighted link failed at n={n}"
 
@@ -298,14 +299,14 @@ def _check_arith_invariants():
     for n in range(1, 3001):
         assert sum(moebius(d) for d in divisors(n)) == (1 if n == 1 else 0)
         m = math.prod(distinct_primes(n))
-        phi_n = totient_from_primes(n, distinct_primes(n))
-        assert phi_n * m == totient_from_primes(m, distinct_primes(m)) * n
+        phi_n = totient(n)
+        assert phi_n * m == totient(m) * n
         assert len(distinct_primes(n)) == len(distinct_primes(m))
     for n in range(1, 2001):
-        assert len(coprime_residues(n)) == totient_from_primes(n, distinct_primes(n))
+        assert len(coprime_residues(n)) == totient(n)
     for a, b in [(3, 4), (8, 9), (5, 12), (7, 10), (25, 36), (11, 13)]:
-        phi_a, phi_b = (totient_from_primes(k, distinct_primes(k)) for k in (a, b))
-        assert totient_from_primes(a * b, distinct_primes(a * b)) == phi_a * phi_b
+        phi_a, phi_b = (totient(k) for k in (a, b))
+        assert totient(a * b) == phi_a * phi_b
         assert moebius(a * b) == moebius(a) * moebius(b)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import divisors, moebius
+from oracles import divisors, moebius, totient
 from totdk import (
     ENUMERATION_BOUND,
     DomainError,
@@ -17,7 +17,7 @@ from totdk import (
     coprime_residues,
     factorize,
 )
-from totdk.arith import distinct_primes, squarefree_divisors_from, totient_from_primes
+from totdk.arith import distinct_primes, squarefree_divisors_from
 
 small_n = st.integers(min_value=1, max_value=50_000)
 
@@ -73,7 +73,8 @@ def test_moebius_known(n, mu):
     [(1, 1), (2, 1), (5, 4), (6, 2), (10, 4), (12, 4), (97, 96), (360, 96)],
 )
 def test_totient_known(n, phi):
-    assert totient_from_primes(n, distinct_primes(n)) == phi
+    assert len(coprime_residues(n)) == phi
+    assert totient(n) == phi
 
 
 @pytest.mark.parametrize("n,w", [(1, 0), (2, 1), (12, 2), (30, 3), (97, 1)])
@@ -132,8 +133,7 @@ def test_moebius_sum_over_divisors(n):
 def test_totient_ratio_survives_radical(n):
     # phi(n)/n == phi(rad(n))/rad(n), cross-multiplied to stay in integers
     m = math.prod(distinct_primes(n))
-    phi_n = totient_from_primes(n, distinct_primes(n))
-    assert phi_n * m == totient_from_primes(m, distinct_primes(m)) * n
+    assert totient(n) * m == totient(m) * n
     assert len(distinct_primes(n)) == len(distinct_primes(m))
 
 
@@ -145,8 +145,7 @@ def test_multiplicativity_on_coprime_pairs(a, b):
     if math.gcd(a, b) != 1:
         return
     primes_a, primes_b, primes_ab = (distinct_primes(k) for k in (a, b, a * b))
-    phi_a, phi_b = totient_from_primes(a, primes_a), totient_from_primes(b, primes_b)
-    assert totient_from_primes(a * b, primes_ab) == phi_a * phi_b
+    assert totient(a * b) == totient(a) * totient(b)
     assert moebius(a * b) == moebius(a) * moebius(b)
     assert math.prod(primes_ab) == math.prod(primes_a) * math.prod(primes_b)
     assert len(primes_ab) == len(primes_a) + len(primes_b)
@@ -171,7 +170,7 @@ def test_totative_set_shape():
 
 @given(st.integers(min_value=1, max_value=5000))
 def test_totative_count_matches_totient(n):
-    assert len(coprime_residues(n)) == totient_from_primes(n, distinct_primes(n))
+    assert len(coprime_residues(n)) == totient(n)
 
 
 @given(st.integers(min_value=2, max_value=2000))
@@ -189,9 +188,7 @@ def test_enumeration_bound_is_enforced():
     with pytest.raises(ResourceLimitError):
         coprime_residues(n).tolist()
     top = coprime_residues(ENUMERATION_BOUND)
-    assert len(top) == totient_from_primes(
-        ENUMERATION_BOUND, distinct_primes(ENUMERATION_BOUND)
-    )
+    assert len(top) == totient(ENUMERATION_BOUND)
     assert top[-1] == ENUMERATION_BOUND - 1
 
 
@@ -203,7 +200,6 @@ def test_sieve_agrees_with_direct_functions():
         from_sieve = {n: distinct_primes(n) for n in range(1, 3201)}
     for n, primes in from_sieve.items():
         assert primes == tuple(p for p, _ in factorize(n))
-        assert totient_from_primes(n, primes) == totient_from_primes(n, distinct_primes(n))
         assert math.prod(primes) == math.prod(distinct_primes(n))
         assert len(primes) == len(distinct_primes(n))
 

@@ -6,12 +6,15 @@ right-hand side.  It reads `coprime_residues` and `s_double_sum` through
 `totdk.spence`, so a fault planted there reaches both chains alike.
 """
 
+import collections
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import totient
+import totdk.arith
 import totdk.spence
 from totdk import (
     Sieve,
@@ -21,7 +24,6 @@ from totdk import (
     s_closed_form,
     s_double_sum,
     spence_closed_form,
-    sum_squares_totatives,
     verify_chain,
 )
 from totdk.arith import distinct_primes, squarefree_divisors_from
@@ -46,6 +48,7 @@ def reference_chain(n):
     residues = totdk.spence.coprime_residues(n)
     phi_n = len(residues)
     m = math.prod(primes)
+    sign = (-1) ** len(primes)
 
     jaj = int(np.arange(1, phi_n + 1, dtype=np.int64) @ residues)
     theta_weighted = sum(mu * int((residues // d) @ residues) for d, mu in sq)
@@ -62,7 +65,7 @@ def reference_chain(n):
     return [
         link("theta_reindex", jaj, theta_weighted),
         link("theta_split", theta_weighted, Fraction(phi_n, n) * sum_sq - nu_weighted),
-        link("sum_of_squares", sum_sq, sum_squares_totatives(n)),
+        link("sum_of_squares", sum_sq, Fraction(totient(n) * (2 * n * n + sign * m), 6)),
         link("nu_weighted_sum", nu_weighted, Fraction(-n * phi_n, 4) + s_dbl),
         link("dedekind_double_sum", s_dbl, s_closed_form(n)),
         link("delange_product", delange_double_sum(n), delange_closed_form(n)),
@@ -122,3 +125,50 @@ def test_chain_equals_reference_at_any_block_size(monkeypatch, cap):
     with Sieve(400):
         for n in range(2, 401):
             assert all(r.matched for r in assert_same_chain(n))
+
+
+@pytest.mark.parametrize(
+    "index,tag,lhs,rhs",
+    [
+        (2, "spence_formula", "76", "1825/24"),
+        (3, "sum_of_squares", "196", "1177/6"),
+        (4, "dedekind_double_sum", "4/3", "11/8"),
+        (5, "delange_product", "4/3", "17/12"),
+    ],
+)
+def test_planted_closed_form_fault_fails_exactly_the_link_that_reads_it(
+    monkeypatch, index, tag, lhs, rhs
+):
+    # _closed_forms returns (primes, m, spence, sum_sq, s, delange) numerators;
+    # one more in a numerator is a non-integral or wrong closed form.
+    real = totdk.spence._closed_forms
+
+    def planted(n):
+        forms = list(real(n))
+        forms[index] += 1
+        return tuple(forms)
+
+    monkeypatch.setattr(totdk.spence, "_closed_forms", planted)
+    with Sieve(300):
+        for n in range(2, 301):
+            assert failing(verify_chain(n)) == {tag}, n
+    [result] = [r.to_dict() for r in verify_chain(12) if not r.matched]
+    assert result == {"n": 12, "identity": tag, "lhs": lhs, "rhs": rhs, "matched": False}
+
+
+def test_chain_reads_the_primes_of_n_at_most_four_times(monkeypatch):
+    # once each in _closed_forms, coprime_residues, s_double_sum and delange_double_sum
+    calls = collections.Counter()
+    real = totdk.arith.distinct_primes
+
+    def counted(n):
+        calls[n] += 1
+        return real(n)
+
+    monkeypatch.setattr(totdk.arith, "distinct_primes", counted)
+    monkeypatch.setattr(totdk.spence, "distinct_primes", counted)
+    with Sieve(300):
+        for n in range(2, 301):
+            verify_chain(n)
+    assert set(calls) == set(range(2, 301))
+    assert max(calls.values()) <= 4

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import totdk
+import totdk.spence
 import totdk.verify
 from totdk import ENUMERATION_BOUND, NAIVE_BOUND
 from totdk.cli import DEFAULT_RANGE_CAP, EVAL_KINDS, build_parser, main
@@ -225,6 +226,70 @@ def test_verify_interrupt_with_two_workers_exits_130():
         except ProcessLookupError:
             pass
         proc.wait()
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs /proc/PID/task/PID/children to see the pool start",
+)
+def test_verify_interrupt_of_the_parent_alone_stops_the_workers():
+    # kill -INT of the parent pid reaches no worker, so the parent must stop them.
+    src = str(Path(totdk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["verify", "--suite", "chain", "--from", "2", "--to", "100000", "--allow-slow"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "totdk.cli", *argv, "--workers", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(_children(proc.pid)) < 2:
+            assert time.monotonic() < deadline, "the pool never started"
+            time.sleep(0.05)
+        time.sleep(0.5)  # let the workers reach the sweep
+        os.kill(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=20)
+        assert proc.returncode == 130
+        assert "Traceback" not in err
+        assert err.endswith("error: interrupted\n")
+        assert out == ""
+        deadline = time.monotonic() + 10
+        with pytest.raises(ProcessLookupError):  # no worker survives the parent
+            while time.monotonic() < deadline:
+                os.killpg(proc.pid, 0)
+                time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
+
+def test_verify_chain_with_a_non_integral_closed_form_exits_4(capsys, monkeypatch):
+    # A Spence numerator off by one is no longer divisible by 24: a failing link.
+    real = totdk.spence._closed_forms
+
+    def planted(n):
+        primes, m, spence, *rest = real(n)
+        return (primes, m, spence + 1, *rest)
+
+    monkeypatch.setattr(totdk.spence, "_closed_forms", planted)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "chain", "--from", "2", "--to", "30", "--format", "json"
+    )
+    assert code == 4
+    assert "Traceback" not in err
+    failures = json.loads(out)["failures"]
+    assert [f["identity"] for f in failures] == ["spence_formula"] * 29
+    assert failures[0] == {
+        "n": 2, "identity": "spence_formula", "lhs": "1", "rhs": "25/24", "matched": False
+    }
 
 
 def test_verify_range_cap_needs_allow_slow(capsys):

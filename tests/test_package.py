@@ -77,3 +77,9 @@ def test_enumeration_bound_is_read_only_by_arith_and_verify():
         if "ENUMERATION_BOUND" in _references(ast.parse(path.read_text(), filename=str(path)))
     }
     assert readers == {"arith", "verify"}
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10; newer syntax would fail only there.
+    for path in sorted(Path(totdk.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

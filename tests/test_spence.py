@@ -19,6 +19,7 @@ from oracles import (
     nu_weighted_sum_bruteforce,
     sawtooth,
     sum_squares_totatives_bruteforce,
+    totient,
 )
 from totdk import (
     CHAIN_IDENTITIES,
@@ -36,13 +37,19 @@ from totdk import (
     s_double_sum,
     spence_closed_form,
     sum_j_aj_bruteforce,
-    sum_squares_totatives,
     theta,
     verify_chain,
 )
 import totdk.spence
-from totdk.arith import distinct_primes, totient_from_primes
-from totdk.spence import _sum_j_aj
+from totdk.arith import distinct_primes
+from totdk.spence import _closed_forms, _sum_j_aj
+
+
+def sum_squares_totatives(n):
+    """The library's closed form for sum(a^2) over U(n): its numerator over 6."""
+    numerator = _closed_forms(n)[3]
+    assert numerator % 6 == 0
+    return numerator // 6
 
 # ------------------------------------------------------------------ theta / nu
 
@@ -131,14 +138,14 @@ def test_theta_nu_match_definitional_sums(n, x):
 )
 def test_theta_plus_nu_identity(n, x):
     # theta_n(x) + nu_n(x) == x * phi(n) / n for any rational x
-    phi_n = totient_from_primes(n, distinct_primes(n))
+    phi_n = totient(n)
     assert theta(n, x) + nu(n, x) == x * Fraction(phi_n, n)
 
 
 def test_theta_plus_nu_on_awkward_points():
     # negatives, integers, points adjacent to divisors
     for n in (1, 2, 6, 12, 30, 360):
-        ratio = Fraction(totient_from_primes(n, distinct_primes(n)), n)
+        ratio = Fraction(totient(n), n)
         xs = [Fraction(v) for v in (-7, -1, 0, 1, n, -n)]
         for d in divisors(n):
             xs += [
@@ -219,7 +226,7 @@ def fresh_ranks(monkeypatch):
 def test_rank_vector_is_read_only(fresh_ranks):
     assert sum_j_aj_bruteforce(1000) == spence_closed_form(1000)
     ranks = totdk.spence._ranks
-    assert len(ranks) >= totient_from_primes(1000, distinct_primes(1000))
+    assert len(ranks) >= totient(1000)
     with pytest.raises(ValueError):
         ranks[0] = 7
     with pytest.raises(ValueError):
@@ -265,8 +272,8 @@ def test_spence_closed_form_integrality_explicit():
         m = math.prod(distinct_primes(n))
         w = len(distinct_primes(m))
         sign = -1 if w % 2 else 1
-        phi_n = totient_from_primes(n, distinct_primes(n))
-        phi_m = totient_from_primes(m, distinct_primes(m))
+        phi_n = totient(n)
+        phi_m = totient(m)
         product = phi_n * (8 * n * phi_n + 6 * n + 2 * sign * phi_m - 2**w)
         assert product % 24 == 0
         assert spence_closed_form(n) == product // 24
@@ -326,7 +333,7 @@ def nu_weighted_direct(n):
 def test_nu_weighted_sum_known(n):
     direct = nu_weighted_direct(n)
     assert nu_weighted_sum_bruteforce(n) == direct
-    phi_n = totient_from_primes(n, distinct_primes(n))
+    phi_n = totient(n)
     assert direct == Fraction(-n * phi_n, 4) + s_double_sum(n)
 
 
@@ -399,7 +406,7 @@ def test_delange_closed_form_shape():
     for n in range(1, 200):
         primes = distinct_primes(n)
         assert delange_closed_form(n) == Fraction(
-            2 ** len(primes) * totient_from_primes(n, primes), n
+            2 ** len(primes) * totient(n), n
         )
 
 

@@ -267,3 +267,18 @@ def test_reports_byte_identical_for_workers_1_to_8(monkeypatch, suite, start, en
         report = run_suite(suite, start, end, workers=workers)
         assert report.to_json() == solo.to_json()
         assert report.to_csv() == solo.to_csv()
+
+
+def test_spence_suite_reports_a_planted_closed_form_fault(monkeypatch):
+    # The suite compares two ints and builds Fraction sides only for a mismatch.
+    real = totdk.verify.spence_closed_form
+    monkeypatch.setattr(totdk.verify, "spence_closed_form", lambda n: real(n) + (n % 7 == 0))
+    report = run_suite("spence", 2, 30)
+    assert report.to_csv() == (
+        "n,identity,lhs,rhs,matched\n"
+        "7,spence_formula,91,92,False\n"
+        "14,spence_formula,191,192,False\n"
+        "21,spence_formula,1081,1082,False\n"
+        "28,spence_formula,1432,1433,False\n"
+    )
+    assert all(type(f.lhs) is type(f.rhs) is Fraction for f in report.failures)
