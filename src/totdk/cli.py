@@ -1,9 +1,10 @@
 """Command-line front end: single exact values, range verification, benchmarks.
 
 Exit codes: 0 success, 2 usage error, 3 domain/resource error or a dead
-worker process, 4 correctness failure (a verification mismatch, or the
-benchmark catching the two evaluators disagreeing), 130 interrupted
-(KeyboardInterrupt, such as Ctrl-C during a long verify sweep).
+worker process, 4 correctness failure (a verification mismatch, the
+benchmark catching the two evaluators disagreeing, or an internal invariant
+violation), 130 interrupted (KeyboardInterrupt, such as Ctrl-C during a long
+verify sweep).
 
 The library checks every verify and bench input; this module only parses
 arguments and maps the library's exceptions to exit codes.
@@ -17,7 +18,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from .bench import format_table, run_bench
 from .dedekind import dedekind_fast
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, InvariantViolation, ResourceLimitError
 from .rational import format_rational, parse_rational
 from .spence import (
     delange_closed_form,
@@ -139,9 +140,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_bench(parser, ns)
     except SystemExit as exc:  # argparse usage errors
         return exc.code if isinstance(exc.code, int) else 2
-    except (DomainError, ResourceLimitError) as exc:
+    except (DomainError, ResourceLimitError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, InvariantViolation) else 3
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130

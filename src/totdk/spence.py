@@ -119,10 +119,6 @@ def _sum_j_aj(residues: np.ndarray) -> int:
     return int(ranks[:length] @ residues)
 
 
-def _sum_squares(residues: np.ndarray) -> int:
-    return int(residues @ residues)
-
-
 # Elements of one divmod block in _theta_nu_sums, which holds
 # max(1, _BLOCK_ELEMENTS // phi(n)) divisor rows: a small n takes all of its
 # rows in one numpy call; once phi(n) > _BLOCK_ELEMENTS a block is one row,
@@ -263,7 +259,7 @@ def verify_chain(n: int) -> list[IdentityResult]:
     jaj = Fraction(_sum_j_aj(residues))
     theta_sum, nu_numerator = _theta_nu_sums(residues, primes, m)
     theta_weighted = Fraction(theta_sum)
-    sum_sq = _sum_squares(residues)
+    sum_sq = int(residues @ residues)
     s_dbl = s_double_sum(n)
 
     sides = (

@@ -1,6 +1,7 @@
 """Bulk range verification with machine-readable, deterministic reports.
 
-A suite maps each n of a range to a list of exact identity checks:
+A suite maps each n of a range to a list of exact identity checks, all run
+for one n by `_suite_failures`:
 
   spence    the formula itself: brute-force rank-weighted sum vs closed form
   chain     all links of the proof chain (see spence.verify_chain)
@@ -10,10 +11,11 @@ A suite maps each n of a range to a list of exact identity checks:
 Ranges may be sharded across worker processes.  Blocks of six consecutive n
 are dealt round-robin to the shards, and the shards' failures are merged by a
 stable sort on n; each n lives in one shard, so the report content is
-identical for any worker count.  JSON and CSV renderings carry no timing data
-for the same reason: byte-identical reports are the contract, and wall-clock
-time is reported separately (human format and stderr).  Shards that factorize
-run inside one `with Sieve(end):` scope each.
+identical for any worker count.  `VerificationReport.render(fmt)` is the one
+renderer.  Its JSON and CSV carry no timing data for the same reason:
+byte-identical reports are the contract, and wall-clock time is reported
+separately (human format and stderr).  Shards that factorize run inside one
+`with Sieve(end):` scope each.
 """
 
 from __future__ import annotations
@@ -60,83 +62,63 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> str:
-        payload = {
-            "suite": self.suite,
-            "range_start": self.range_start,
-            "range_end": self.range_end,
-            "checked": self.checked,
-            "failures": [f.to_dict() for f in self.failures],
-            "config": self.config,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "identity", "lhs", "rhs", "matched"])
-        for f in self.failures:
-            d = f.to_dict()
-            writer.writerow([d["n"], d["identity"], d["lhs"], d["rhs"], d["matched"]])
-        return out.getvalue()
-
-    def to_human(self) -> str:
-        lines = [
-            f"suite={self.suite} range=[{self.range_start}, {self.range_end}] "
-            f"checked={self.checked} failures={len(self.failures)} "
-            f"elapsed={self.elapsed_ms:.1f}ms"
-        ]
-        for f in self.failures:
-            d = f.to_dict()
-            lines.append(
-                f"  FAIL n={d['n']} {d['identity']}: lhs={d['lhs']} rhs={d['rhs']}"
-            )
-        if not self.failures:
-            lines.append("  all checks passed")
-        return "\n".join(lines) + "\n"
-
     def render(self, fmt: str) -> str:
+        """The report as "json" or "csv", which carry no timing, or "human"."""
+        rows = [f.to_dict() for f in self.failures]
         if fmt == "json":
-            return self.to_json()
+            payload = {
+                "suite": self.suite,
+                "range_start": self.range_start,
+                "range_end": self.range_end,
+                "checked": self.checked,
+                "failures": rows,
+                "config": self.config,
+            }
+            return json.dumps(payload, sort_keys=True, indent=2) + "\n"
         if fmt == "csv":
-            return self.to_csv()
+            out = io.StringIO()
+            writer = csv.DictWriter(
+                out, ["n", "identity", "lhs", "rhs", "matched"], lineterminator="\n"
+            )
+            writer.writeheader()
+            writer.writerows(rows)
+            return out.getvalue()
         if fmt == "human":
-            return self.to_human()
+            lines = [
+                f"suite={self.suite} range=[{self.range_start}, {self.range_end}] "
+                f"checked={self.checked} failures={len(rows)} "
+                f"elapsed={self.elapsed_ms:.1f}ms"
+            ]
+            lines += [
+                f"  FAIL n={d['n']} {d['identity']}: lhs={d['lhs']} rhs={d['rhs']}"
+                for d in rows
+            ]
+            if not rows:
+                lines.append("  all checks passed")
+            return "\n".join(lines) + "\n"
         raise DomainError(f"unknown format: {fmt}")
 
 
-def check_dedekind(n: int, b_max: int) -> list[IdentityResult]:
-    """Compare dedekind_fast(b, n) with dedekind_naive(b, n) for b = 1..b_max.
-
-    Only mismatching pairs are materialized as results; a fully matching
-    row returns [].
-    """
-    failures = []
-    for b in range(1, b_max + 1):
-        fast = dedekind_fast(b, n)
-        slow = dedekind_naive(b, n)
-        if fast != slow:
-            failures.append(
-                IdentityResult(n, f"dedekind_fast_vs_naive(b={b})", fast, slow, False)
-            )
-    return failures
-
-
 def _suite_failures(suite: str, n: int, b_max: int) -> list[IdentityResult]:
+    """The checks of `suite` that fail at n, over b = 1..b_max in the dedekind
+    suites.  run_suite rejects an unknown suite before any shard starts, so
+    `suite` is not checked again here."""
     if suite == "spence":
         lhs, rhs = sum_j_aj_bruteforce(n), spence_closed_form(n)
         if lhs == rhs:
             return []
         return [IdentityResult(n, "spence_formula", Fraction(lhs), Fraction(rhs), False)]
-    if suite == "chain":
-        results = verify_chain(n)
-    elif suite == "dedekind":
-        results = check_dedekind(n, b_max)
-    elif suite == "all":
-        results = verify_chain(n) + check_dedekind(n, b_max)
-    else:
-        raise DomainError(f"unknown suite: {suite}")
-    return [r for r in results if not r.matched]
+    failures = []
+    if suite in ("chain", "all"):
+        failures += [r for r in verify_chain(n) if not r.matched]
+    if suite in ("dedekind", "all"):
+        for b in range(1, b_max + 1):
+            fast, slow = dedekind_fast(b, n), dedekind_naive(b, n)
+            if fast != slow:
+                failures.append(
+                    IdentityResult(n, f"dedekind_fast_vs_naive(b={b})", fast, slow, False)
+                )
+    return failures
 
 
 def _run_shard(args: tuple) -> tuple[int, list[IdentityResult]]:

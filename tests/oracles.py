@@ -2,9 +2,10 @@
 
 None of these is on a path that `cli`, `verify` or `bench` runs: each is a
 second way to a quantity the library computes, kept here so that a test can
-compare the two.  The brute-force twins call the library's own int64 residue
-kernels, so the checks at the top of the enumeration range still exercise
-the production code.
+compare the two.  The brute-force twins read the library's own int64 residues,
+and the nu twin its own theta/nu kernel, so the checks at the top of the
+enumeration range still exercise the production code; the sum(a^2) twin does
+its own matmul over those residues, as verify_chain does.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from totdk.arith import (
 )
 from totdk.errors import DomainError
 from totdk.rational import rat_frac
-from totdk.spence import _require_n_ge_2, _sum_squares, _theta_nu_sums
+from totdk.spence import _require_n_ge_2, _theta_nu_sums
 
 # ------------------------------------------------------------------ arithmetic
 
@@ -74,7 +75,8 @@ def reciprocity_rhs(a: int, b: int) -> Fraction:
 def sum_squares_totatives_bruteforce(n: int) -> int:
     """sum(a^2) over U(n) by direct enumeration; twin oracle of the closed form."""
     _require_n_ge_2(n)
-    return _sum_squares(coprime_residues(n))
+    residues = coprime_residues(n)
+    return int(residues @ residues)
 
 
 def mobius_transform_sum(n: int, f: Callable[[int], Fraction | int]):

@@ -271,8 +271,7 @@ def test_verify_interrupt_of_the_parent_alone_stops_the_workers():
         proc.wait()
 
 
-def test_verify_chain_with_a_non_integral_closed_form_exits_4(capsys, monkeypatch):
-    # A Spence numerator off by one is no longer divisible by 24: a failing link.
+def _spence_numerator_off_by_one(monkeypatch):
     real = totdk.spence._closed_forms
 
     def planted(n):
@@ -280,6 +279,31 @@ def test_verify_chain_with_a_non_integral_closed_form_exits_4(capsys, monkeypatc
         return (primes, m, spence + 1, *rest)
 
     monkeypatch.setattr(totdk.spence, "_closed_forms", planted)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "spence", "--from", "2", "--to", "10", "--workers", "1"),
+        ("verify", "--suite", "spence", "--from", "2", "--to", "10", "--workers", "2"),
+        ("eval", "spence", "5"),
+    ],
+)
+def test_invariant_violation_exits_4(capsys, monkeypatch, argv):
+    # spence_closed_form asserts divisibility by 24; in a pool worker too, the
+    # violation reaches main as itself and ends in the correctness-failure code.
+    _spence_numerator_off_by_one(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: closed form for n=")
+    assert " not divisible by 24" in err
+    assert "Traceback" not in err
+
+
+def test_verify_chain_with_a_non_integral_closed_form_exits_4(capsys, monkeypatch):
+    # A Spence numerator off by one is no longer divisible by 24: a failing link.
+    _spence_numerator_off_by_one(monkeypatch)
     code, out, err = run_cli(
         capsys, "verify", "--suite", "chain", "--from", "2", "--to", "30", "--format", "json"
     )

@@ -5,7 +5,7 @@ import inspect
 from pathlib import Path
 
 import totdk
-from totdk import arith
+from totdk import arith, cli, errors
 
 
 def test_star_import_and_every_export_resolves():
@@ -83,3 +83,23 @@ def test_sources_parse_as_the_oldest_supported_python():
     # pyproject.toml declares requires-python >= 3.10; newer syntax would fail only there.
     for path in sorted(Path(totdk.__file__).parent.glob("*.py")):
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_cli_main_catches_every_error_type():
+    # A library error that main does not map to an exit code ends in a traceback.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    caught = {
+        name.id
+        for handler in ast.walk(main)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for name in ast.walk(handler.type)
+        if isinstance(name, ast.Name)
+    }
+    defined = {
+        name
+        for name, obj in vars(errors).items()
+        if _is_exception(obj) and obj.__module__ == errors.__name__
+    }
+    assert defined
+    assert defined - caught == set()

@@ -120,16 +120,16 @@ def test_dedekind_suite_allows_unbounded_end():
 def test_reports_identical_across_worker_counts():
     solo = run_suite("chain", 2, 48, workers=1)
     trio = run_suite("chain", 2, 48, workers=3)
-    assert solo.to_json() == trio.to_json()
-    assert solo.to_csv() == trio.to_csv()
+    assert solo.render("json") == trio.render("json")
+    assert solo.render("csv") == trio.render("csv")
     assert solo.checked == trio.checked == 47
 
 
 def test_spence_reports_identical_across_worker_counts():
     solo = run_suite("spence", 2, 80, workers=1)
     quad = run_suite("spence", 2, 80, workers=4)
-    assert solo.to_json() == quad.to_json()
-    assert solo.to_csv() == quad.to_csv()
+    assert solo.render("json") == quad.render("json")
+    assert solo.render("csv") == quad.render("csv")
 
 
 def test_pool_has_one_process_per_shard(monkeypatch, in_process_pool):
@@ -137,7 +137,7 @@ def test_pool_has_one_process_per_shard(monkeypatch, in_process_pool):
     # 2..61 is ten blocks of six, more than the four CPUs
     trio = run_suite("spence", 2, 61, workers=3)
     assert in_process_pool == [3]
-    assert trio.to_json() == run_suite("spence", 2, 61, workers=1).to_json()
+    assert trio.render("json") == run_suite("spence", 2, 61, workers=1).render("json")
     assert in_process_pool == [3]
 
 
@@ -146,7 +146,7 @@ def test_pool_never_has_more_processes_than_cpus(monkeypatch, in_process_pool):
     wide = run_suite("spence", 2, 601, workers=10**4)  # 100 shards of one block
     assert in_process_pool == [3]
     assert wide.checked == 600
-    assert wide.to_json() == run_suite("spence", 2, 601, workers=1).to_json()
+    assert wide.render("json") == run_suite("spence", 2, 601, workers=1).render("json")
     monkeypatch.setattr(totdk.verify.os, "cpu_count", lambda: None)
     run_suite("spence", 2, 601, workers=10**4)
     assert in_process_pool == [3, 1]
@@ -154,7 +154,7 @@ def test_pool_never_has_more_processes_than_cpus(monkeypatch, in_process_pool):
 
 def test_json_shape():
     report = run_suite("spence", 2, 12)
-    payload = json.loads(report.to_json())
+    payload = json.loads(report.render("json"))
     assert set(payload) == {
         "suite",
         "range_start",
@@ -165,18 +165,18 @@ def test_json_shape():
     }
     assert payload["failures"] == []
     # timing is deliberately absent from machine formats
-    assert "elapsed" not in report.to_json()
-    assert "workers" not in report.to_json()
+    assert "elapsed" not in report.render("json")
+    assert "workers" not in report.render("json")
 
 
 def test_csv_shape():
     report = run_suite("spence", 2, 12)
-    assert report.to_csv() == "n,identity,lhs,rhs,matched\n"
+    assert report.render("csv") == "n,identity,lhs,rhs,matched\n"
 
 
 def test_human_shape():
     report = run_suite("spence", 2, 12)
-    text = report.to_human()
+    text = report.render("human")
     assert "suite=spence" in text
     assert "checked=11" in text
     assert "failures=0" in text
@@ -195,18 +195,15 @@ def test_report_with_failures_renders_everywhere():
         elapsed_ms=1.0,
     )
     assert not report.ok
-    assert "example_identity" in report.to_json()
-    csv_lines = report.to_csv().splitlines()
+    assert "example_identity" in report.render("json")
+    csv_lines = report.render("csv").splitlines()
     assert csv_lines[0] == "n,identity,lhs,rhs,matched"
     assert csv_lines[1] == "7,example_identity,1/2,1/3,False"
-    assert "FAIL n=7" in report.to_human()
+    assert "FAIL n=7" in report.render("human")
 
 
 def test_render_dispatch():
     report = run_suite("spence", 2, 5)
-    assert report.render("json") == report.to_json()
-    assert report.render("csv") == report.to_csv()
-    assert report.render("human") == report.to_human()
     with pytest.raises(DomainError):
         report.render("xml")
 
@@ -265,8 +262,8 @@ def test_reports_byte_identical_for_workers_1_to_8(monkeypatch, suite, start, en
     assert [f.n for f in solo.failures] == [n for n in range(start, end + 1) if n % 7 == 0]
     for workers in range(2, 9):
         report = run_suite(suite, start, end, workers=workers)
-        assert report.to_json() == solo.to_json()
-        assert report.to_csv() == solo.to_csv()
+        assert report.render("json") == solo.render("json")
+        assert report.render("csv") == solo.render("csv")
 
 
 def test_spence_suite_reports_a_planted_closed_form_fault(monkeypatch):
@@ -274,7 +271,7 @@ def test_spence_suite_reports_a_planted_closed_form_fault(monkeypatch):
     real = totdk.verify.spence_closed_form
     monkeypatch.setattr(totdk.verify, "spence_closed_form", lambda n: real(n) + (n % 7 == 0))
     report = run_suite("spence", 2, 30)
-    assert report.to_csv() == (
+    assert report.render("csv") == (
         "n,identity,lhs,rhs,matched\n"
         "7,spence_formula,91,92,False\n"
         "14,spence_formula,191,192,False\n"
@@ -282,3 +279,27 @@ def test_spence_suite_reports_a_planted_closed_form_fault(monkeypatch):
         "28,spence_formula,1432,1433,False\n"
     )
     assert all(type(f.lhs) is type(f.rhs) is Fraction for f in report.failures)
+
+
+@pytest.mark.parametrize("suite,start", [("dedekind", 1), ("all", 2)])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_dedekind_suites_report_a_planted_naive_fault(monkeypatch, suite, start, workers):
+    # The naive oracle is off by 1/(4a^2) at b = 3, so each a has one failing
+    # cell; under suite all, every link of the chain still matches.
+    real = totdk.verify.dedekind_naive
+    monkeypatch.setattr(
+        totdk.verify,
+        "dedekind_naive",
+        lambda b, a: real(b, a) + (Fraction(1, 4 * a * a) if b == 3 else 0),
+    )
+    rows = {
+        1: "1,dedekind_fast_vs_naive(b=3),0,1/4,False\n",
+        2: "2,dedekind_fast_vs_naive(b=3),0,1/16,False\n",
+        3: "3,dedekind_fast_vs_naive(b=3),0,1/36,False\n",
+        4: "4,dedekind_fast_vs_naive(b=3),-1/8,-7/64,False\n",
+        5: "5,dedekind_fast_vs_naive(b=3),0,1/100,False\n",
+        6: "6,dedekind_fast_vs_naive(b=3),0,1/144,False\n",
+    }
+    report = run_suite(suite, start, 6, workers=workers)
+    expected = "".join(rows[n] for n in range(start, 7))
+    assert report.render("csv") == "n,identity,lhs,rhs,matched\n" + expected
