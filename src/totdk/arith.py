@@ -109,13 +109,11 @@ class Sieve:
         if limit < 1:
             raise DomainError(f"sieve limit must be >= 1, got {limit}")
         self.limit = limit
-        spf = list(range(limit + 1))
-        for i in range(2, math.isqrt(limit) + 1):
-            if spf[i] == i:
-                for j in range(i * i, limit + 1, i):
-                    if spf[j] == j:
-                        spf[j] = i
-        self._spf = spf
+        spf = np.arange(limit + 1)
+        # Descending p, so the smallest prime factor of j is the last write to spf[j].
+        for p in range(math.isqrt(limit), 1, -1):
+            spf[p * p :: p] = p
+        self._spf = spf.tolist()
 
     def __enter__(self) -> Sieve:
         _open_sieves.set((*_open_sieves.get(), self))

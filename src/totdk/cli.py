@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 usage error, 3 domain/resource error or a dead
 worker process, 4 correctness failure (a verification mismatch, the
 benchmark catching the two evaluators disagreeing, or an internal invariant
 violation), 130 interrupted (KeyboardInterrupt, such as Ctrl-C during a long
-verify sweep).
+verify sweep), 141 stdout closed by its reader (128 + SIGPIPE, as in `| head`).
 
 The library checks every verify and bench input; this module only parses
 arguments and maps the library's exceptions to exit codes.
@@ -13,6 +13,8 @@ arguments and maps the library's exceptions to exit codes.
 from __future__ import annotations
 
 import argparse
+import os
+import re
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -44,6 +46,13 @@ _EVAL = {
 EVAL_KINDS = tuple(_EVAL)
 
 
+def _integer(text: str) -> int:
+    """Every integer argument: ASCII decimal digits, [+-]?[0-9]+ after strip()."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="totdk",
@@ -59,13 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("args", nargs="*", help="kind-specific arguments")
 
     p_verify = sub.add_parser("verify", help="verify identities over a range of n")
-    p_verify.add_argument("--from", dest="start", type=int, required=True)
-    p_verify.add_argument("--to", dest="end", type=int, required=True)
+    p_verify.add_argument("--from", dest="start", type=_integer, required=True)
+    p_verify.add_argument("--to", dest="end", type=_integer, required=True)
     p_verify.add_argument("--suite", choices=SUITES, default="spence")
     p_verify.add_argument(
         "--format", dest="fmt", choices=("json", "csv", "human"), default="human"
     )
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=_integer, default=1)
     p_verify.add_argument(
         "--allow-slow",
         action="store_true",
@@ -73,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_bench = sub.add_parser("bench", help="time the naive and fast Dedekind evaluators")
-    p_bench.add_argument("--pairs", type=int, required=True)
-    p_bench.add_argument("--max-a", dest="max_a", type=int, required=True)
-    p_bench.add_argument("--seed", type=int, default=1)
+    p_bench.add_argument("--pairs", type=_integer, required=True)
+    p_bench.add_argument("--max-a", dest="max_a", type=_integer, required=True)
+    p_bench.add_argument("--seed", type=_integer, default=1)
     return parser
 
 
@@ -86,7 +95,7 @@ def _cmd_eval(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
     args = []
     for name, text in zip(names, ns.args):
         try:
-            args.append(parse_rational(text) if name == "x" else int(text))
+            args.append(parse_rational(text) if name == "x" else _integer(text))
         except (ValueError, DomainError):
             kind = "a rational p/q" if name == "x" else "an integer"
             parser.error(f"{name} must be {kind}, got {text!r}")
@@ -133,11 +142,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        if ns.command == "eval":
-            return _cmd_eval(parser, ns)
-        if ns.command == "verify":
-            return _cmd_verify(parser, ns)
-        return _cmd_bench(parser, ns)
+        commands = {"eval": _cmd_eval, "verify": _cmd_verify, "bench": _cmd_bench}
+        code = commands[ns.command](parser, ns)
+        sys.stdout.flush()  # here, so that a closed stdout is caught below
+        return code
     except SystemExit as exc:  # argparse usage errors
         return exc.code if isinstance(exc.code, int) else 2
     except (DomainError, ResourceLimitError, InvariantViolation) as exc:
@@ -146,6 +154,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:  # the reader closed stdout; the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

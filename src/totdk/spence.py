@@ -254,29 +254,24 @@ def verify_chain(n: int) -> list[IdentityResult]:
     residues = coprime_residues(n)
     phi_n = len(residues)
 
-    # Every side is an integer, or an integer numerator over a known
-    # denominator; one Fraction is built per reported value.
-    jaj = Fraction(_sum_j_aj(residues))
+    # Every link is (lhs numerator, lhs denominator, rhs numerator, rhs
+    # denominator) in integers and matches when the cross products agree.
+    jaj = _sum_j_aj(residues)
     theta_sum, nu_numerator = _theta_nu_sums(residues, primes, m)
-    theta_weighted = Fraction(theta_sum)
     sum_sq = int(residues @ residues)
-    s_dbl = s_double_sum(n)
+    s_num, s_den = s_double_sum(n).as_integer_ratio()
+    delange_num, delange_den = delange_double_sum(n).as_integer_ratio()
 
     sides = (
-        (jaj, theta_weighted),
-        (theta_weighted, Fraction(phi_n * sum_sq * m - nu_numerator * n, n * m)),
-        (Fraction(sum_sq), Fraction(sum_sq6, 6)),
-        (
-            Fraction(nu_numerator, m),
-            Fraction(
-                4 * s_dbl.numerator - n * phi_n * s_dbl.denominator, 4 * s_dbl.denominator
-            ),
-        ),
-        (s_dbl, Fraction(s24, 24)),
-        (delange_double_sum(n), Fraction(delange_n, n)),
-        (jaj, Fraction(spence24, 24)),
+        (jaj, 1, theta_sum, 1),
+        (theta_sum, 1, phi_n * sum_sq * m - nu_numerator * n, n * m),
+        (sum_sq, 1, sum_sq6, 6),
+        (nu_numerator, m, 4 * s_num - n * phi_n * s_den, 4 * s_den),
+        (s_num, s_den, s24, 24),
+        (delange_num, delange_den, delange_n, n),
+        (jaj, 1, spence24, 24),
     )
     return [
-        IdentityResult(n, tag, lhs, rhs, lhs == rhs)
-        for tag, (lhs, rhs) in zip(CHAIN_IDENTITIES, sides, strict=True)
+        IdentityResult(n, tag, Fraction(a, b), Fraction(c, d), a * d == c * b)
+        for tag, (a, b, c, d) in zip(CHAIN_IDENTITIES, sides, strict=True)
     ]

@@ -48,6 +48,18 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def smallest_prime_factor_table(limit: int) -> list[int]:
+    """[0, 1, 2, 3, 2, 5, 2, ...]: the smallest prime factor of each j <= limit
+    (j itself for j < 2), by a pure-Python sieve over the primes up to sqrt(limit)."""
+    spf = list(range(limit + 1))
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == i:
+            for j in range(i * i, limit + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
+
+
 # -------------------------------------------------------------- Dedekind sums
 
 

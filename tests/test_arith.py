@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import divisors, moebius, totient
+from oracles import divisors, moebius, smallest_prime_factor_table, totient
 from totdk import (
     ENUMERATION_BOUND,
     DomainError,
@@ -202,6 +202,11 @@ def test_sieve_agrees_with_direct_functions():
         assert primes == tuple(p for p, _ in factorize(n))
         assert math.prod(primes) == math.prod(distinct_primes(n))
         assert len(primes) == len(distinct_primes(n))
+
+
+@pytest.mark.parametrize("limit", [*range(1, 11), 10_000, 100_001])
+def test_sieve_table_equals_the_list_sieve(limit):
+    assert Sieve(limit)._spf == smallest_prime_factor_table(limit)
 
 
 def test_sieve_range_checks():

@@ -71,6 +71,10 @@ def test_eval_kind_list():
         ("eval", "nu", "5", "0.5"),  # decimals are outside the p/q grammar
         ("eval", "theta", "6", "1e3"),  # so are exponents
         ("eval", "theta", "6", "1_000"),  # and digit separators
+        ("eval", "spence", "1_000"),  # integers take ASCII digits alone: no separators,
+        ("eval", "spence", "\u0663"),  # no other script's digits (Arabic-Indic 3)
+        ("verify", "--from", "1_0", "--to", "12"),  # in options too
+        ("bench", "--pairs", "1_0", "--max-a", "10"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -314,6 +318,35 @@ def test_verify_chain_with_a_non_integral_closed_form_exits_4(capsys, monkeypatc
     assert failures[0] == {
         "n": 2, "identity": "spence_formula", "lhs": "1", "rhs": "25/24", "matched": False
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "dedekind", "--from", "1", "--to", "40", "--format", "csv"),
+        ("eval", "spence", "5"),
+    ],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # As in `totdk ... | head -0`: the reader is gone before the first write.
+    src = str(Path(totdk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "totdk.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_verify_range_cap_needs_allow_slow(capsys):
