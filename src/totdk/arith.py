@@ -62,9 +62,15 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 def distinct_primes(n: int) -> tuple[int, ...]:
     """Ascending distinct primes of n: from the open Sieve covering n, else trial division."""
     sieves = _open_sieves.get()
-    if sieves and n <= sieves[-1].limit:
-        return sieves[-1].distinct_primes(n)
-    return tuple(p for p, _ in factorize(n))
+    if not sieves or not 1 <= n <= sieves[-1].limit:
+        return tuple(p for p, _ in factorize(n))
+    spf, primes = sieves[-1]._spf, []
+    while n > 1:
+        p = spf[n]
+        primes.append(p)
+        while n % p == 0:
+            n //= p
+    return tuple(primes)
 
 
 def squarefree_divisors_from(primes: Sequence[int]) -> list[tuple[int, int]]:
@@ -121,15 +127,3 @@ class Sieve:
 
     def __exit__(self, *exc_info) -> None:
         _open_sieves.set(_open_sieves.get()[:-1])
-
-    def distinct_primes(self, n: int) -> tuple[int, ...]:
-        if not 1 <= n <= self.limit:
-            raise DomainError(f"n={n} outside sieve range [1, {self.limit}]")
-        spf = self._spf
-        primes = []
-        while n > 1:
-            p = spf[n]
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        return tuple(primes)

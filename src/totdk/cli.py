@@ -96,7 +96,7 @@ def _cmd_eval(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
     for name, text in zip(names, ns.args):
         try:
             args.append(parse_rational(text) if name == "x" else _integer(text))
-        except (ValueError, DomainError):
+        except ValueError:  # DomainError included
             kind = "a rational p/q" if name == "x" else "an integer"
             parser.error(f"{name} must be {kind}, got {text!r}")
     print(format_rational(fn(*args)))

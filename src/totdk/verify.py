@@ -176,10 +176,12 @@ def run_suite(
                 outcomes = list(pool.map(_run_shard, jobs))
             except BaseException:
                 # Leaving the block would wait for every running shard, even on
-                # Ctrl-C: drop the queued shards and stop the pool's workers.
-                pool.shutdown(wait=False, cancel_futures=True)
+                # Ctrl-C: stop the pool's workers, then drop the queued shards.
+                # Waiting joins the pool's manager thread, which would otherwise
+                # race Python 3.11's exit hook and print an OSError traceback.
                 for worker in set(multiprocessing.active_children()) - older:
                     worker.terminate()
+                pool.shutdown(wait=True, cancel_futures=True)
                 raise
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 

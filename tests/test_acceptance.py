@@ -224,19 +224,20 @@ def _check_theta_nu_identity():
 
 def _check_theta_counting(sieve):
     # theta(n, x) counts 1 <= k <= x coprime to n, exhaustive over 0 <= x <= n
-    for n in range(2, 1001):
-        x_grid = np.arange(0, n + 1, dtype=np.int64)
-        theta_vec = np.zeros(n + 1, dtype=np.int64)
-        for d, mu in _squarefree_pairs(n):
-            theta_vec += mu * (x_grid // d)
-        mask = np.ones(n, dtype=bool)
-        mask[0] = False
-        for p in sieve.distinct_primes(n):
-            mask[p::p] = False
-        counts = np.zeros(n + 1, dtype=np.int64)
-        counts[1:n] = np.cumsum(mask[1:])
-        counts[n] = counts[n - 1]
-        assert np.array_equal(theta_vec, counts), f"theta count mismatch at n={n}"
+    with sieve:
+        for n in range(2, 1001):
+            x_grid = np.arange(0, n + 1, dtype=np.int64)
+            theta_vec = np.zeros(n + 1, dtype=np.int64)
+            for d, mu in _squarefree_pairs(n):
+                theta_vec += mu * (x_grid // d)
+            mask = np.ones(n, dtype=bool)
+            mask[0] = False
+            for p in distinct_primes(n):
+                mask[p::p] = False
+            counts = np.zeros(n + 1, dtype=np.int64)
+            counts[1:n] = np.cumsum(mask[1:])
+            counts[n] = counts[n - 1]
+            assert np.array_equal(theta_vec, counts), f"theta count mismatch at n={n}"
     assert theta(1, 5) == 5  # n = 1: every k counts
 
 

@@ -210,23 +210,34 @@ def test_sieve_table_equals_the_list_sieve(limit):
 
 
 def test_sieve_range_checks():
-    sieve = Sieve(100)
-    with pytest.raises(DomainError):
-        sieve.distinct_primes(101)
-    with pytest.raises(DomainError):
-        sieve.distinct_primes(0)
+    # Past the open table's range, n goes to trial division, which rejects n < 1.
+    with Sieve(100):
+        assert distinct_primes(101) == (101,)
+        for n in (0, -6):
+            with pytest.raises(DomainError):
+                distinct_primes(n)
+
+
+class CountingTable(list):
+    """A list that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
 
 
 class CountingSieve(Sieve):
-    """A Sieve that counts the lookups read from its table."""
+    """A Sieve that counts the entries read from its table: one per distinct prime."""
 
     def __init__(self, limit):
         super().__init__(limit)
-        self.lookups = 0
+        self._spf = CountingTable(self._spf)
 
-    def distinct_primes(self, n):
-        self.lookups += 1
-        return super().distinct_primes(n)
+    @property
+    def reads(self):
+        return self._spf.reads
 
 
 def test_sieve_scope_closes_on_exit_and_on_exception():
@@ -241,7 +252,7 @@ def test_sieve_scope_closes_on_exit_and_on_exception():
             distinct_primes(60)
             1 / 0
     distinct_primes(60)
-    assert sieve.lookups == 2
+    assert sieve.reads == 6
 
 
 def test_nested_sieve_scopes_read_the_innermost_and_restore_the_outer():
@@ -261,7 +272,7 @@ def test_nested_sieve_scopes_read_the_innermost_and_restore_the_outer():
             distinct_primes(6)  # small
         distinct_primes(6)  # outer
     distinct_primes(6)  # no scope: trial division
-    assert (outer.lookups, inner.lookups, small.lookups) == (5, 2, 1)
+    assert (outer.reads, inner.reads, small.reads) == (10, 4, 2)
 
 
 def test_sieve_scope_is_local_to_its_thread():
@@ -271,7 +282,9 @@ def test_sieve_scope_is_local_to_its_thread():
         worker.start()
         worker.join(timeout=30)
         assert not worker.is_alive()
-    assert sieve.lookups == 0
+        assert sieve.reads == 0
+        distinct_primes(60)  # this thread's scope is open
+    assert sieve.reads == 3
 
 
 def test_one_sieve_opened_in_two_threads_closes_in_each():
@@ -311,7 +324,7 @@ def test_one_sieve_opened_in_two_threads_closes_in_each():
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert sieve.lookups == 1
+    assert sieve.reads == 2
 
 
 @settings(max_examples=50)

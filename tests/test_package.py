@@ -1,6 +1,7 @@
 """The package's export list."""
 
 import ast
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -103,3 +104,24 @@ def test_cli_main_catches_every_error_type():
     }
     assert defined
     assert defined - caught == set()
+
+
+def test_benchmark_tracer_boundaries_resolve_and_restore(tmp_path):
+    # perfbench/tracing.py replaces names the package imports only for it (for
+    # example `totdk.spence.dedekind_fast`); a name that no longer resolves
+    # breaks every traced benchmark run, so it is checked here.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [(importlib.import_module(m), attr) for m, attr, _, _ in tracing.BOUNDARIES]
+    missing = [(m.__name__, attr) for m, attr in targets if not hasattr(m, attr)]
+    assert missing == []
+    originals = [getattr(m, attr) for m, attr in targets]
+    tracer = tracing.Tracer(tmp_path)
+    try:
+        tracer.install()
+        assert all(getattr(m, attr) is not o for (m, attr), o in zip(targets, originals))
+    finally:
+        tracer.uninstall()
+    assert all(getattr(m, attr) is o for (m, attr), o in zip(targets, originals))

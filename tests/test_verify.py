@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import threading
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from totdk import (
     NAIVE_BOUND,
     DomainError,
     IdentityResult,
+    InvariantViolation,
     VerificationReport,
     run_suite,
 )
@@ -264,6 +266,23 @@ def test_reports_byte_identical_for_workers_1_to_8(monkeypatch, suite, start, en
         report = run_suite(suite, start, end, workers=workers)
         assert report.render("json") == solo.render("json")
         assert report.render("csv") == solo.render("csv")
+
+
+def test_a_failing_shard_leaves_no_pool_thread_running(monkeypatch):
+    # A pool thread still running when run_suite raises races the interpreter's
+    # exit hook on Python 3.11, and the exit then prints an OSError traceback.
+    real = totdk.verify._suite_failures
+
+    def planted(suite, n, b_max):
+        if n == 7:
+            raise InvariantViolation("planted")
+        return real(suite, n, b_max)
+
+    monkeypatch.setattr(totdk.verify, "_suite_failures", planted)
+    before = set(threading.enumerate())
+    with pytest.raises(InvariantViolation):
+        run_suite("chain", 2, 200, workers=2)
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 def test_spence_suite_reports_a_planted_closed_form_fault(monkeypatch):
