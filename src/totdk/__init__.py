@@ -10,7 +10,7 @@ from .arith import (
     ENUMERATION_BOUND,
     Sieve,
     coprime_residues,
-    factorize,
+    distinct_primes,
 )
 from .dedekind import (
     NAIVE_BOUND,
@@ -18,7 +18,7 @@ from .dedekind import (
     dedekind_naive,
 )
 from .errors import DomainError, InvariantViolation, ResourceLimitError
-from .rational import format_rational, parse_rational, rat_frac
+from .rational import format_rational, parse_rational
 from .spence import (
     CHAIN_IDENTITIES,
     IdentityResult,
@@ -51,11 +51,10 @@ __all__ = [
     "dedekind_naive",
     "delange_closed_form",
     "delange_double_sum",
-    "factorize",
+    "distinct_primes",
     "format_rational",
     "nu",
     "parse_rational",
-    "rat_frac",
     "run_suite",
     "s_closed_form",
     "s_double_sum",

@@ -1,10 +1,10 @@
-"""Integer factorization and the arithmetic the identity chain reads from it.
+"""The distinct primes of n and the arithmetic the identity chain reads from them.
 
-Every prime of n comes from `distinct_primes`, which reads the table of the
-innermost open `with Sieve(limit):` scope when it covers n and uses trial
-division (`factorize`) otherwise, so a bulk loop opens one scope.  From the
-primes follow the square-free divisors with their Moebius weights and the
-totatives as an int64 array.
+The chain needs no prime exponent, so `distinct_primes` is the package's only
+factorization: it reads the table of the innermost open `with Sieve(limit):`
+scope when that covers n and does its own trial division otherwise, so a bulk
+loop opens one scope.  From the primes follow the square-free divisors with
+their Moebius weights and the totatives as an int64 array.
 """
 
 from __future__ import annotations
@@ -29,41 +29,24 @@ ENUMERATION_BOUND = 2_000_000
 _open_sieves = contextvars.ContextVar("totdk_open_sieves", default=())
 
 
-def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization as (prime, exponent) pairs, primes strictly ascending.
-
-    Trial division by 2, 3, then 6k+-1; the empty tuple represents 1.
-    """
-    if n < 1:
-        raise DomainError(f"factorize requires n >= 1, got {n}")
-    pairs = []
-    for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            pairs.append((p, e))
-    i = 5
-    while i * i <= n:
-        for p in (i, i + 2):
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                pairs.append((p, e))
-        i += 6
-    if n > 1:
-        pairs.append((n, 1))
-    return tuple(pairs)
-
-
 def distinct_primes(n: int) -> tuple[int, ...]:
-    """Ascending distinct primes of n: from the open Sieve covering n, else trial division."""
+    """Ascending distinct primes of n: from the open Sieve covering n, else by
+    trial division by 2, 3, then 6k+-1.  The empty tuple for n = 1."""
     sieves = _open_sieves.get()
     if not sieves or not 1 <= n <= sieves[-1].limit:
-        return tuple(p for p, _ in factorize(n))
+        if n < 1:
+            raise DomainError(f"distinct_primes requires n >= 1, got {n}")
+        primes, p, step = [], 2, 1
+        while p * p <= n:
+            if n % p == 0:
+                primes.append(p)
+                while n % p == 0:
+                    n //= p
+            p += step
+            step = 2 if p <= 5 else 6 - step  # 2, 3, 5, 7, 11, 13, ...
+        if n > 1:
+            primes.append(n)
+        return tuple(primes)
     spf, primes = sieves[-1]._spf, []
     while n > 1:
         p = spf[n]

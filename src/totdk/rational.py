@@ -8,16 +8,10 @@ decimal rendering, where it exists at all, is display-only.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
 from .errors import DomainError
-
-
-def rat_frac(x: Fraction | int) -> Fraction:
-    """Fractional part x - floor(x), always in [0, 1)."""
-    return Fraction(x) - math.floor(x)
 
 
 def format_rational(x: Fraction | int) -> str:

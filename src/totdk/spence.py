@@ -38,7 +38,7 @@ from .arith import coprime_residues, distinct_primes, squarefree_divisors_from
 # dedekind_fast is not called here; perfbench/tracing.py wraps this module's name.
 from .dedekind import _closed_form, dedekind_fast  # noqa: F401
 from .errors import DomainError, InvariantViolation
-from .rational import format_rational, rat_frac
+from .rational import format_rational
 
 #: Stable tags for the links checked by verify_chain, in the order computed.
 CHAIN_IDENTITIES = (
@@ -89,10 +89,7 @@ def theta(n: int, x: Fraction | int) -> int:
 def nu(n: int, x: Fraction | int) -> Fraction:
     """Moebius-weighted fractional-part sum; theta + nu = x * phi(n) / n."""
     x = Fraction(x)
-    total = Fraction(0)
-    for d, mu in squarefree_divisors_from(distinct_primes(n)):
-        total += mu * rat_frac(x / d)
-    return total
+    return sum(mu * (x / d % 1) for d, mu in squarefree_divisors_from(distinct_primes(n)))
 
 
 # Residue kernels: exact int64 reductions over the ascending totatives of n.

@@ -2,10 +2,12 @@
 
 None of these is on a path that `cli`, `verify` or `bench` runs: each is a
 second way to a quantity the library computes, kept here so that a test can
-compare the two.  The brute-force twins read the library's own int64 residues,
-and the nu twin its own theta/nu kernel, so the checks at the top of the
-enumeration range still exercise the production code; the sum(a^2) twin does
-its own matmul over those residues, as verify_chain does.
+compare the two.  The arithmetic oracles factor n themselves, by trying every
+integer from 2 upward, and share no code with `distinct_primes`.  The
+brute-force twins read the library's own int64 residues, and the nu twin its
+own theta/nu kernel, so the checks at the top of the enumeration range still
+exercise the production code; the sum(a^2) twin does its own matmul over those
+residues, as verify_chain does.
 """
 
 from __future__ import annotations
@@ -14,17 +16,33 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from totdk.arith import (
-    coprime_residues,
-    distinct_primes,
-    factorize,
-    squarefree_divisors_from,
-)
+from totdk.arith import coprime_residues, distinct_primes, squarefree_divisors_from
 from totdk.errors import DomainError
-from totdk.rational import rat_frac
 from totdk.spence import _require_n_ge_2, _theta_nu_sums
 
 # ------------------------------------------------------------------ arithmetic
+
+
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n, primes ascending; () for n = 1.
+
+    Trial division by every integer from 2 upward: a composite divisor never
+    divides what is left, since its prime factors were divided out before it.
+    """
+    if n < 1:
+        raise DomainError(f"factorize requires n >= 1, got {n}")
+    pairs, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            pairs.append((p, e))
+        p += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
 
 
 def moebius(n: int) -> int:
@@ -68,7 +86,7 @@ def sawtooth(x: Fraction | int) -> Fraction:
     x = Fraction(x)
     if x.denominator == 1:
         return Fraction(0)
-    return rat_frac(x) - Fraction(1, 2)
+    return x % 1 - Fraction(1, 2)
 
 
 def reciprocity_rhs(a: int, b: int) -> Fraction:
@@ -104,7 +122,8 @@ def mobius_transform_sum(n: int, f: Callable[[int], Fraction | int]):
 
 
 def nu_weighted_sum_bruteforce(n: int) -> Fraction:
-    """sum(nu(n, a) * a) over U(n), exact, by direct enumeration."""
+    """sum(nu(n, a) * a) over U(n), exact, as verify_chain computes it: by the
+    production theta/nu kernel `_theta_nu_sums`, not by enumerating nu(n, a)."""
     _require_n_ge_2(n)
     primes = distinct_primes(n)
     m = math.prod(primes)

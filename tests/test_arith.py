@@ -1,4 +1,4 @@
-"""Integer arithmetic layer: factorization, multiplicative functions, totatives."""
+"""Integer arithmetic layer: distinct primes, multiplicative functions, totatives."""
 
 import math
 import threading
@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import divisors, moebius, smallest_prime_factor_table, totient
+from oracles import divisors, factorize, moebius, smallest_prime_factor_table, totient
 from totdk import (
     ENUMERATION_BOUND,
     DomainError,
     ResourceLimitError,
     Sieve,
     coprime_residues,
-    factorize,
+    distinct_primes,
 )
-from totdk.arith import distinct_primes, squarefree_divisors_from
+from totdk.arith import squarefree_divisors_from
 
 small_n = st.integers(min_value=1, max_value=50_000)
 
@@ -37,24 +37,42 @@ small_n = st.integers(min_value=1, max_value=50_000)
     ],
 )
 def test_factorize_known(n, pairs):
-    f = factorize(n)
-    assert f == pairs
-    assert math.prod(p**e for p, e in f) == n
+    assert factorize(n) == pairs
+    assert distinct_primes(n) == tuple(p for p, _ in pairs)
 
 
 def test_factorize_rejects_nonpositive():
     for bad in (0, -4):
         with pytest.raises(DomainError):
-            factorize(bad)
+            distinct_primes(bad)
 
 
-@given(small_n)
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=10**12))
 def test_factorize_round_trips(n):
-    f = factorize(n)
-    assert math.prod(p**e for p, e in f) == n
-    primes = [p for p, _ in f]
-    assert primes == sorted(primes)
-    assert all(factorize(p) == ((p, 1),) for p in primes)
+    pairs = factorize(n)
+    assert math.prod(p**e for p, e in pairs) == n
+    assert distinct_primes(n) == tuple(p for p, _ in pairs)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        *(p * p for p in (5, 7, 11, 13, 17)),  # squares of the first wheel primes
+        5**2 * 7**2 * 11**2,
+        2**40,
+        3**25,
+        999_983 * 1_000_003,  # the primes either side of 10**6
+        10**12 + 39,  # prime
+        1_999_993**2,
+    ],
+)
+def test_trial_division_edge_cases(n):
+    expected = tuple(p for p, _ in factorize(n))
+    assert distinct_primes(n) == expected
+    if n <= 3000:
+        with Sieve(3000):
+            assert distinct_primes(n) == expected
 
 
 # ------------------------------------------------- multiplicative functions

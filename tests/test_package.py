@@ -68,6 +68,43 @@ def test_every_export_has_a_caller_in_the_package():
     assert unread == []
 
 
+def _load_tracing():
+    """perfbench/tracing.py, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_import_is_read_in_its_module():
+    # An unread import is dead weight.  The exceptions are `__future__` imports
+    # and the names perfbench/tracing.py replaces on a module (its BOUNDARIES),
+    # which a module may import only for the tracer.
+    exempt = {(module, attr) for module, attr, _, _ in _load_tracing().BOUNDARIES}
+    unread = []
+    for path in sorted(Path(totdk.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = f"totdk.{path.stem}"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded and (module, name) not in exempt:
+                    unread.append((module, name))
+    assert unread == []
+
+
 def test_enumeration_bound_is_read_only_by_arith_and_verify():
     # arith defines and enforces the bound; verify checks a range against it
     # before the sweep and reports it in the config block.
@@ -110,10 +147,7 @@ def test_benchmark_tracer_boundaries_resolve_and_restore(tmp_path):
     # perfbench/tracing.py replaces names the package imports only for it (for
     # example `totdk.spence.dedekind_fast`); a name that no longer resolves
     # breaks every traced benchmark run, so it is checked here.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_tracing()
     targets = [(importlib.import_module(m), attr) for m, attr, _, _ in tracing.BOUNDARIES]
     missing = [(m.__name__, attr) for m, attr in targets if not hasattr(m, attr)]
     assert missing == []

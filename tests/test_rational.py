@@ -1,13 +1,12 @@
-"""Exact rational helpers: fractional part and p/q serialization."""
+"""Exact rationals: floor and fractional part as theta(1, x) and nu(1, x), p/q serialization."""
 
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from totdk import DomainError, format_rational, parse_rational, rat_frac
+from totdk import DomainError, format_rational, nu, parse_rational, theta
 
 nonzero = st.integers(min_value=-10**12, max_value=10**12).filter(lambda x: x != 0)
 ints = st.integers(min_value=-10**12, max_value=10**12)
@@ -25,14 +24,16 @@ rationals = st.builds(Fraction, ints, nonzero)
     ],
 )
 def test_floor_and_frac(x, floor, frac):
-    assert math.floor(x) == floor
-    assert rat_frac(x) == frac
+    # 1 is the only divisor of 1, so theta(1, x) = floor(x) and nu(1, x) = frac(x).
+    assert theta(1, x) == floor
+    assert nu(1, x) == frac
+    assert type(nu(1, x)) is Fraction
 
 
 @given(rationals)
 def test_floor_frac_decomposition(x):
-    f = rat_frac(x)
-    assert x == math.floor(x) + f
+    f = nu(1, x)
+    assert x == theta(1, x) + f
     assert 0 <= f < 1
 
 
