@@ -1,9 +1,10 @@
 """Exact verification of Spence's totative-sum formula via Dedekind sums.
 
 The library computes every identity in the chain both by brute force over
-the totatives of n and by closed form, in exact rational arithmetic, and
-ships a fast O(log a) Dedekind-sum evaluator built on the continued-fraction
-closed form of Hickerson and Knuth.
+the totatives of n and by closed form, in Python ints and fractions.Fraction,
+whose str() is the "p/q" text that reports and the CLI print.  It ships a fast
+O(log a) Dedekind-sum evaluator built on the continued-fraction closed form of
+Hickerson and Knuth.
 """
 
 from .arith import (
@@ -18,12 +19,10 @@ from .dedekind import (
     dedekind_naive,
 )
 from .errors import DomainError, InvariantViolation, ResourceLimitError
-from .rational import format_rational, parse_rational
 from .spence import (
     CHAIN_IDENTITIES,
     IdentityResult,
     delange_closed_form,
-    delange_double_sum,
     nu,
     s_closed_form,
     s_double_sum,
@@ -50,11 +49,8 @@ __all__ = [
     "dedekind_fast",
     "dedekind_naive",
     "delange_closed_form",
-    "delange_double_sum",
     "distinct_primes",
-    "format_rational",
     "nu",
-    "parse_rational",
     "run_suite",
     "s_closed_form",
     "s_double_sum",

@@ -35,7 +35,7 @@ def distinct_primes(n: int) -> tuple[int, ...]:
     sieves = _open_sieves.get()
     if not sieves or not 1 <= n <= sieves[-1].limit:
         if n < 1:
-            raise DomainError(f"distinct_primes requires n >= 1, got {n}")
+            raise DomainError(f"requires n >= 1, got {n}")
         primes, p, step = [], 2, 1
         while p * p <= n:
             if n % p == 0:
@@ -87,7 +87,8 @@ def coprime_residues(n: int) -> np.ndarray:
 
 
 class Sieve:
-    """Smallest-prime-factor table over [0, limit], opened as a scope.
+    """Smallest-prime-factor table over [0, limit], opened as a scope; the
+    limit is at most ENUMERATION_BOUND, the largest n a sweep enumerates.
 
     Inside `with Sieve(limit):`, `distinct_primes(n)` reads the table in
     O(log n) for 1 <= n <= limit.  Like `decimal.localcontext`, the scope
@@ -97,6 +98,8 @@ class Sieve:
     def __init__(self, limit: int):
         if limit < 1:
             raise DomainError(f"sieve limit must be >= 1, got {limit}")
+        if limit > ENUMERATION_BOUND:
+            raise ResourceLimitError(f"sieve bound exceeded: limit={limit} > {ENUMERATION_BOUND}")
         self.limit = limit
         spf = np.arange(limit + 1)
         # Descending p, so the smallest prime factor of j is the last write to spf[j].

@@ -17,11 +17,11 @@ import os
 import re
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 
 from .bench import format_table, run_bench
 from .dedekind import dedekind_fast
 from .errors import DomainError, InvariantViolation, ResourceLimitError
-from .rational import format_rational, parse_rational
 from .spence import (
     delange_closed_form,
     nu,
@@ -51,6 +51,13 @@ def _integer(text: str) -> int:
     if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def _rational(text: str) -> Fraction:
+    """eval's x, "p/q" or an integer: [+-]?[0-9]+(/[0-9]+)? after strip(), q != 0."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", text.strip()):
+        raise ValueError(f"not a rational: {text!r}")
+    return Fraction(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,11 +102,11 @@ def _cmd_eval(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
     args = []
     for name, text in zip(names, ns.args):
         try:
-            args.append(parse_rational(text) if name == "x" else _integer(text))
-        except ValueError:  # DomainError included
+            args.append(_rational(text) if name == "x" else _integer(text))
+        except ValueError:
             kind = "a rational p/q" if name == "x" else "an integer"
             parser.error(f"{name} must be {kind}, got {text!r}")
-    print(format_rational(fn(*args)))
+    print(fn(*args))
     return 0
 
 

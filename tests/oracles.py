@@ -102,6 +102,19 @@ def reciprocity_rhs(a: int, b: int) -> Fraction:
 # ------------------------------------------------------------ the proof chain
 
 
+def delange_double_sum(n: int) -> Fraction:
+    """sum(mu(d1) mu(d2) * d1*d2/n^2 * gcd(n/d1, n/d2)^2) over the divisor pairs
+    of n, from this module's `divisors` and `moebius`; Delange's identity says
+    it equals 2^omega(n) * phi(n) / n."""
+    weighted = [(d, moebius(d)) for d in divisors(n)]
+    numerator = sum(
+        mu1 * mu2 * d1 * d2 * math.gcd(n // d1, n // d2) ** 2
+        for d1, mu1 in weighted
+        for d2, mu2 in weighted
+    )
+    return Fraction(numerator, n * n)
+
+
 def sum_squares_totatives_bruteforce(n: int) -> int:
     """sum(a^2) over U(n) by direct enumeration; twin oracle of the closed form."""
     _require_n_ge_2(n)
@@ -127,4 +140,5 @@ def nu_weighted_sum_bruteforce(n: int) -> Fraction:
     _require_n_ge_2(n)
     primes = distinct_primes(n)
     m = math.prod(primes)
-    return Fraction(_theta_nu_sums(coprime_residues(n), primes, m)[1], m)
+    pairs = squarefree_divisors_from(primes)
+    return Fraction(_theta_nu_sums(coprime_residues(n), pairs, m)[1], m)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    delange_double_sum,
     divisors,
     mobius_transform_sum,
     moebius,
@@ -33,7 +34,6 @@ from totdk import (
     dedekind_fast,
     dedekind_naive,
     delange_closed_form,
-    delange_double_sum,
     nu,
     s_closed_form,
     s_double_sum,

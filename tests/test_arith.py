@@ -17,6 +17,7 @@ from totdk import (
     coprime_residues,
     distinct_primes,
 )
+import totdk.arith
 from totdk.arith import squarefree_divisors_from
 
 small_n = st.integers(min_value=1, max_value=50_000)
@@ -234,6 +235,15 @@ def test_sieve_range_checks():
         for n in (0, -6):
             with pytest.raises(DomainError):
                 distinct_primes(n)
+
+
+def test_sieve_limit_above_the_enumeration_bound_is_refused_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the table was allocated")
+
+    monkeypatch.setattr(totdk.arith.np, "arange", no_allocation)
+    with pytest.raises(ResourceLimitError, match=str(ENUMERATION_BOUND)):
+        Sieve(ENUMERATION_BOUND + 1)
 
 
 class CountingTable(list):

@@ -90,6 +90,14 @@ def test_eval_domain_errors_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv", [("eval", "theta", "0", "1"), ("eval", "nu", "0", "1"), ("eval", "delange", "0")]
+)
+def test_eval_n_below_1_error_names_no_internal_function(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: requires n >= 1, got 0\n")
+
+
 # --------------------------------------------------------------------- verify
 
 

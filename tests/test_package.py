@@ -68,6 +68,32 @@ def test_every_export_has_a_caller_in_the_package():
     assert unread == []
 
 
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level `_name`s a module defines: functions, classes and assigned
+    constants, dunder names such as `__all__` aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_is_read_in_the_package():
+    # The private twin of the export check above: a module-level _name that no
+    # module of the package reads is dead code.  An import is not a read.
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in Path(totdk.__file__).parent.glob("*.py")
+    }
+    read = set().union(*map(_references, trees.values()))
+    defined = [(stem, name) for stem, tree in trees.items() for name in _private_definitions(tree)]
+    assert defined
+    assert [(stem, name) for stem, name in defined if name not in read] == []
+
+
 def _load_tracing():
     """perfbench/tracing.py, loaded by path: perfbench is not a package."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

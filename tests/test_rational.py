@@ -1,12 +1,16 @@
-"""Exact rationals: floor and fractional part as theta(1, x) and nu(1, x), p/q serialization."""
+"""Exact rationals: floor and fractional part as theta(1, x) and nu(1, x); the p/q
+text that reports render with str() and that `totdk eval` parses and prints."""
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from totdk import DomainError, format_rational, nu, parse_rational, theta
+from totdk import IdentityResult, nu, theta
+from totdk.cli import _rational, main
 
 nonzero = st.integers(min_value=-10**12, max_value=10**12).filter(lambda x: x != 0)
 ints = st.integers(min_value=-10**12, max_value=10**12)
@@ -37,6 +41,30 @@ def test_floor_frac_decomposition(x):
     assert 0 <= f < 1
 
 
+def report_text(x):
+    """x as a verify report renders it, in an IdentityResult row."""
+    row = IdentityResult(1, "x", x, x, True).to_dict()
+    assert row["lhs"] == row["rhs"]
+    return row["lhs"]
+
+
+def eval_stdout(kind, text):
+    """stdout of `totdk eval KIND 1 -- TEXT`: floor(x) for theta, frac(x) for nu."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["eval", kind, "1", "--", text]) == 0
+    return out.getvalue()
+
+
+# floor(x) and frac(x) of each canonical text, as `eval theta 1` and `eval nu 1` print them
+EVAL_TEXTS = {
+    "-1/18": ("-1\n", "17/18\n"),
+    "0": ("0\n", "0\n"),
+    "30": ("30\n", "0\n"),
+    "3/2": ("1\n", "1/2\n"),
+}
+
+
 @pytest.mark.parametrize(
     "x,text",
     [
@@ -47,22 +75,31 @@ def test_floor_frac_decomposition(x):
     ],
 )
 def test_canonical_text_form(x, text):
-    assert format_rational(x) == text
-    assert parse_rational(text) == x
+    assert report_text(x) == text
+    assert _rational(text) == x
+    assert (eval_stdout("theta", text), eval_stdout("nu", text)) == EVAL_TEXTS[text]
 
 
 @given(rationals)
 def test_serialization_round_trip(x):
-    assert parse_rational(format_rational(x)) == x
+    text = report_text(x)
+    assert _rational(text) == x
+    floor, frac = eval_stdout("theta", text), eval_stdout("nu", text)
+    assert _rational(floor) == x // 1
+    assert _rational(frac) == x % 1
 
 
 def test_parse_rejects_garbage():
-    for text in ["one half", "1/0", "0.5", "1e3", "1_000", "1/-2", "1/2/3", "", "/2", "inf"]:
-        with pytest.raises(DomainError):
-            parse_rational(text)
+    garbage = ["one half", "1/0", "1/00", "0.5", "1e3", "1_000", "1/-2", "1/2/3", "", "/2", "inf"]
+    garbage.append("\u0663")  # ASCII digits alone: not the Arabic-Indic 3
+    for text in garbage:
+        with pytest.raises(ValueError):
+            _rational(text)
+        assert main(["eval", "nu", "1", "--", text]) == 2, text
 
 
 def test_parse_accepts_signs_and_whitespace():
-    assert parse_rational(" -5/2 ") == Fraction(-5, 2)
-    assert parse_rational("+4/6") == Fraction(2, 3)
-    assert parse_rational("007") == 7
+    assert _rational(" -5/2 ") == Fraction(-5, 2)
+    assert _rational("+4/6") == Fraction(2, 3)
+    assert _rational("007") == 7
+    assert _rational("1/007") == Fraction(1, 7)  # a zero-padded denominator is not zero

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    delange_double_sum,
     divisors,
     mobius_transform_sum,
     moebius,
@@ -31,7 +32,6 @@ from totdk import (
     coprime_residues,
     dedekind_naive,
     delange_closed_form,
-    delange_double_sum,
     nu,
     s_closed_form,
     s_double_sum,
@@ -414,9 +414,9 @@ def test_delange_multiplicativity():
     for a in range(1, 60):
         for b in range(1, 60):
             if math.gcd(a, b) == 1:
-                assert delange_double_sum(a * b) == delange_double_sum(
-                    a
-                ) * delange_double_sum(b)
+                product = delange_double_sum(a) * delange_double_sum(b)
+                assert delange_double_sum(a * b) == product
+                assert delange_closed_form(a * b) == product
 
 
 # ----------------------------------------------------------------- the chain
@@ -485,7 +485,6 @@ def test_two_omega_spellings_agree():
         nu_weighted_sum_bruteforce,
         s_double_sum,
         s_closed_form,
-        delange_double_sum,
         delange_closed_form,
         verify_chain,
         distinct_primes,
@@ -507,7 +506,6 @@ def test_values_equal_inside_and_outside_a_sieve_scope(fn):
         pytest.param(lambda n: theta(n, 1), id="theta"),
         pytest.param(lambda n: nu(n, 1), id="nu"),
         pytest.param(lambda n: mobius_transform_sum(n, abs), id="mobius_transform_sum"),
-        delange_double_sum,
         delange_closed_form,
     ],
     ids=lambda fn: fn.__name__,
