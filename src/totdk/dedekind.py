@@ -22,8 +22,8 @@ algorithm on (k, h) and h' the inverse of h mod k,
 The private entry `_closed_form` runs this in Python ints and returns the
 unreduced numerator, k and the Euclid depth r.  `dedekind_fast`, the one
 public front end, checks the pair and builds one Fraction from it;
-`spence.s_double_sum` sums the numerators in integers and builds none per
-pair, and `bench` reads the depth from it.
+`spence.s_double_sum` sums the numerators in integers over coprime reduced
+pairs and builds no Fraction per pair, and `bench` reads the depth from it.
 
 `dedekind_naive` walks the definition in O(a); `verify` and `bench` check
 the closed form against it.  The tests' further oracles, the sawtooth ((x))

@@ -189,21 +189,37 @@ def spence_closed_form(n: int) -> int:
 
 
 def s_double_sum(n: int) -> Fraction:
-    """S(n) = n * sum(mu(d1) mu(d2) s(n/d1, n/d2)) over divisor pairs of n.
+    """S(n) = n * sum(mu(d1) mu(d2) s(n/d1, n/d2)) over divisor pairs of n,
+    summed over coprime reduced pairs.
 
-    Every Dedekind sum comes from the integer closed form of
-    totdk.dedekind as s(n/d1, n/d2) = N / (12*k) with k dividing n/d2, hence
-    n; divisors with mu = 0 contribute nothing and are skipped.  The double
-    sum is accumulated in integers as a numerator over 12*n, N * (n // k)
-    per pair, and S(n) = total / 12 is the one Fraction built.
+    Divisors with mu = 0 contribute nothing.  A square-free pair is
+    d1 = g*k, d2 = g*h with g = gcd(d1, d2), and scaling gives
+    s(n/d1, n/d2) = s(h, k) with mu(d1) mu(d2) = mu(h*k).  So each coprime
+    (h, k) stands for the 2^(omega(n) - omega(h*k)) choices of g, and
+    k = 1 adds s(h, 1) = 0: 3^omega - 2^omega Dedekind sums where the
+    ordered divisor pairs are 4^omega.  Every one comes from the integer
+    closed form of totdk.dedekind as s(h, k) = N / (12*k); the double sum
+    is accumulated in integers as a numerator over 12*n, N * (n // k) per
+    pair, and S(n) = total / 12 is the one Fraction built.
     """
     _require_n_ge_2(n)
-    quotients = [(n // d, mu) for d, mu in squarefree_divisors_from(distinct_primes(n))]
+    primes = distinct_primes(n)
+    # ds[mask] is the product of the primes whose bits are set in mask.
+    ds = [1]
+    for p in primes:
+        ds += [d * p for d in ds]
     total = 0
-    for b, mu1 in quotients:
-        for a, mu2 in quotients:
-            numerator, k, _ = _closed_form(b, a)
-            total += mu1 * mu2 * numerator * (n // k)
+    for union in range(1, len(ds)):
+        # h*k = ds[union]: k runs over the nonzero submasks, h is the rest.
+        pairs_sum = 0
+        k_mask = union
+        while k_mask:
+            numerator, k, _ = _closed_form(ds[union ^ k_mask], ds[k_mask])
+            pairs_sum += numerator * (n // k)
+            k_mask = (k_mask - 1) & union
+        size = union.bit_count()
+        pairs_sum <<= len(primes) - size
+        total += -pairs_sum if size % 2 else pairs_sum
     return Fraction(total, 12)
 
 
@@ -249,11 +265,15 @@ def verify_chain(n: int) -> list[IdentityResult]:
     theta_sum, nu_numerator = _theta_nu_sums(residues, pairs, m)
     sum_sq = int(residues @ residues)
     s_num, s_den = s_double_sum(n).as_integer_ratio()
-    delange_num = sum(
-        mu1 * mu2 * d1 * d2 * math.gcd(n // d1, n // d2) ** 2
-        for d1, mu1 in pairs
-        for d2, mu2 in pairs
-    )
+    # The Delange summand is symmetric in (d1, d2): twice the pairs d1 < d2,
+    # plus the diagonal, with weights mu(d) * d and mu(d)^2 = 1.
+    terms = [(mu * d, n // d) for d, mu in pairs]
+    off_diagonal = diagonal = 0
+    for i, (w1, q1) in enumerate(terms):
+        diagonal += w1 * w1 * math.gcd(q1, q1) ** 2
+        for w2, q2 in terms[i + 1 :]:
+            off_diagonal += w1 * w2 * math.gcd(q1, q2) ** 2
+    delange_num = 2 * off_diagonal + diagonal
 
     sides = (
         (jaj, 1, theta_sum, 1),
@@ -264,7 +284,10 @@ def verify_chain(n: int) -> list[IdentityResult]:
         (delange_num, n * n, delange_n, n),
         (jaj, 1, spence24, 24),
     )
-    return [
-        IdentityResult(n, tag, Fraction(a, b), Fraction(c, d), a * d == c * b)
-        for tag, (a, b, c, d) in zip(CHAIN_IDENTITIES, sides, strict=True)
-    ]
+    results = []
+    for tag, (a, b, c, d) in zip(CHAIN_IDENTITIES, sides, strict=True):
+        lhs = Fraction(a, b)
+        matched = a * d == c * b
+        # The sides of a matched link are equal, so its rhs is its lhs.
+        results.append(IdentityResult(n, tag, lhs, lhs if matched else Fraction(c, d), matched))
+    return results

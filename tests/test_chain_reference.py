@@ -100,6 +100,13 @@ def test_chain_equals_reference_near_the_enumeration_bound(n):
     assert s_double_sum(n) == reference_s_double_sum(n)
 
 
+@pytest.mark.parametrize("n", [9_699_690, 360_360])
+def test_s_double_sum_equals_the_ungrouped_sum_at_large_omega(n):
+    # 9699690 = 2*3*...*19 (omega = 8: 65536 ordered pairs, 6305 coprime
+    # ones); 360360 = 2^3 * 3^2 * 5 * 7 * 11 * 13 is not square-free.
+    assert s_double_sum(n) == reference_s_double_sum(n) == s_closed_form(n)
+
+
 def test_planted_s_fault_fails_exactly_the_two_links_that_read_s(monkeypatch):
     real = totdk.spence.s_double_sum
     monkeypatch.setattr(totdk.spence, "s_double_sum", lambda n: real(n) + Fraction(1, 12))

@@ -291,26 +291,42 @@ def _spence_numerator_off_by_one(monkeypatch):
         return (primes, m, spence + 1, *rest)
 
     monkeypatch.setattr(totdk.spence, "_closed_forms", planted)
+    monkeypatch.setattr(totdk.verify, "_closed_forms", planted)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify", "--suite", "spence", "--from", "2", "--to", "10", "--workers", "1"),
-        ("verify", "--suite", "spence", "--from", "2", "--to", "10", "--workers", "2"),
-        ("eval", "spence", "5"),
-    ],
-)
-def test_invariant_violation_exits_4(capsys, monkeypatch, argv):
-    # spence_closed_form asserts divisibility by 24; in a pool worker too, the
-    # violation reaches main as itself and ends in the correctness-failure code.
+def test_invariant_violation_exits_4(capsys, monkeypatch):
+    # spence_closed_form asserts divisibility by 24; the violation reaches
+    # main as itself and ends in the correctness-failure code.
     _spence_numerator_off_by_one(monkeypatch)
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, "eval", "spence", "5")
     assert code == 4
     assert out == ""
     assert err.startswith("error: closed form for n=")
     assert " not divisible by 24" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_spence_suite_reports_a_non_integral_closed_form(capsys, monkeypatch, workers):
+    # The spence suite lists the fault as the chain suite does, one failing
+    # spence_formula row per n, in a pool worker too.
+    _spence_numerator_off_by_one(monkeypatch)
+    rows = {}
+    for suite in ("spence", "chain"):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--from", "2", "--to", "10",
+            "--workers", workers, "--format", "csv",
+        )
+        assert code == 4
+        assert "Traceback" not in err
+        rows[suite] = out
+    assert rows["spence"] == rows["chain"]
+    assert rows["spence"].splitlines()[:3] == [
+        "n,identity,lhs,rhs,matched",
+        "2,spence_formula,1,25/24,False",
+        "3,spence_formula,5,121/24,False",
+    ]
+    assert len(rows["spence"].splitlines()) == 10
 
 
 def test_verify_chain_with_a_non_integral_closed_form_exits_4(capsys, monkeypatch):

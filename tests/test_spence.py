@@ -367,6 +367,26 @@ def test_s_equality_range():
             assert s_double_sum(n) == s_closed_form(n)
 
 
+@pytest.mark.parametrize("n", [2, 12, 30, 30030, 360360])
+def test_s_double_sum_evaluates_one_dedekind_sum_per_coprime_pair(monkeypatch, n):
+    # One closed form per coprime (h, k) of square-free divisors with k > 1:
+    # 3^omega - 2^omega of them (665 at 30030), where all ordered divisor
+    # pairs would be 4^omega (4096).
+    calls = []
+    real = totdk.spence._closed_form
+
+    def counted(b, a):
+        calls.append((b, a))
+        return real(b, a)
+
+    monkeypatch.setattr(totdk.spence, "_closed_form", counted)
+    s_double_sum(n)
+    omega = len(distinct_primes(n))
+    assert len(calls) == 3**omega - 2**omega
+    assert len(set(calls)) == len(calls)
+    assert all(a > 1 and math.gcd(b, a) == 1 for b, a in calls)
+
+
 def test_s_double_sum_matches_definition_with_naive_oracle():
     # S(n) = n * sum over d1, d2 | n of mu(d1) mu(d2) s(n/d1, n/d2), term by term
     for n in range(2, 301):

@@ -1,5 +1,6 @@
 """Range verification: suites, sharding determinism, report rendering."""
 
+import collections
 import contextlib
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import totdk.spence
 import totdk.verify
 from totdk import (
     ENUMERATION_BOUND,
@@ -322,3 +324,44 @@ def test_dedekind_suites_report_a_planted_naive_fault(monkeypatch, suite, start,
     report = run_suite(suite, start, 6, workers=workers)
     expected = "".join(rows[n] for n in range(start, 7))
     assert report.render("csv") == "n,identity,lhs,rhs,matched\n" + expected
+
+
+@pytest.mark.parametrize(
+    "suite,names",
+    [
+        (
+            "chain",
+            [
+                (totdk.verify, "verify_chain"),
+                (totdk.spence, "s_double_sum"),
+                (totdk.spence, "coprime_residues"),
+            ],
+        ),
+        (
+            "spence",
+            [
+                (totdk.verify, "sum_j_aj_bruteforce"),
+                (totdk.verify, "spence_closed_form"),
+                (totdk.spence, "coprime_residues"),
+            ],
+        ),
+    ],
+)
+def test_each_n_calls_every_benchmark_counted_name_once(monkeypatch, suite, names):
+    # perfbench/tracing.py counts calls at these module names, and
+    # perfbench/workloads.py pins each count to one per n.
+    calls = collections.Counter()
+
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return counted
+
+    for module, name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for n in range(2, 62):
+        calls.clear()
+        assert totdk.verify._suite_failures(suite, n, n) == []
+        assert calls == {name: 1 for _, name in names}, n
