@@ -3,14 +3,15 @@
 The chain needs no prime exponent, so `distinct_primes` is the package's only
 factorization: it reads the table of the innermost open `with Sieve(limit):`
 scope when that covers n and does its own trial division otherwise, so a bulk
-loop opens one scope.  From the primes follow the square-free divisors with
-their Moebius weights and the totatives as an int64 array.
+loop opens one scope.  From the primes follow the totatives as an int64 array
+and the square-free divisors with their Moebius weights, listed by prime bitmask.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ _open_sieves = contextvars.ContextVar("totdk_open_sieves", default=())
 def distinct_primes(n: int) -> tuple[int, ...]:
     """Ascending distinct primes of n: from the open Sieve covering n, else by
     trial division by 2, 3, then 6k+-1.  The empty tuple for n = 1."""
+    n = operator.index(n)
     sieves = _open_sieves.get()
     if not sieves or not 1 <= n <= sieves[-1].limit:
         if n < 1:
@@ -57,12 +59,12 @@ def distinct_primes(n: int) -> tuple[int, ...]:
 
 
 def squarefree_divisors_from(primes: Sequence[int]) -> list[tuple[int, int]]:
-    """Ascending (d, moebius(d)) for the square-free divisors of the n with these
-    distinct primes: the divisors of nonzero Moebius weight."""
+    """(d, moebius(d)) for the square-free divisors of the n with these distinct
+    primes by prime bitmask: entry i is the product d of the primes at the set
+    bits of i, with moebius(d) = (-1)^popcount(i), so d need not ascend."""
     divs = [(1, 1)]
     for p in primes:
         divs += [(d * p, -mu) for d, mu in divs]
-    divs.sort()
     return divs
 
 
@@ -71,6 +73,7 @@ def coprime_residues(n: int) -> np.ndarray:
 
     Sieves multiples of each distinct prime of n out of [1, n).
     """
+    n = operator.index(n)
     if n < 1:
         raise DomainError(f"totatives require n >= 1, got {n}")
     if n > ENUMERATION_BOUND:

@@ -35,6 +35,7 @@ in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
@@ -44,10 +45,12 @@ from .errors import DomainError, ResourceLimitError
 NAIVE_BOUND = 10**7
 
 
-def _require_valid(b: int, a: int) -> None:
+def _require_valid(b: int, a: int) -> tuple[int, int]:
     # b = 0 is admitted with s(0, a) = 0: every summand contains ((0)) = 0.
+    b, a = operator.index(b), operator.index(a)
     if a < 1 or b < 0:
         raise DomainError(f"Dedekind sum requires a >= 1 and b >= 0, got ({b}, {a})")
+    return b, a
 
 
 def dedekind_naive(b: int, a: int) -> Fraction:
@@ -58,7 +61,7 @@ def dedekind_naive(b: int, a: int) -> Fraction:
     (2*r - a) * (2*k - a) / (4*a*a), zero exactly when r = 0 (which also
     swallows the k = a term).  Accumulation is pure integer arithmetic.
     """
-    _require_valid(b, a)
+    b, a = _require_valid(b, a)
     if a > NAIVE_BOUND:
         raise ResourceLimitError(f"naive Dedekind bound exceeded: a={a} > {NAIVE_BOUND}")
     step = b % a
@@ -75,7 +78,7 @@ def dedekind_naive(b: int, a: int) -> Fraction:
 
 def dedekind_fast(b: int, a: int) -> Fraction:
     """s(b, a), exactly equal to dedekind_naive(b, a), in O(log min(a, b)) steps."""
-    _require_valid(b, a)
+    b, a = _require_valid(b, a)
     numerator, k, _ = _closed_form(b, a)
     return Fraction(numerator, 12 * k)
 

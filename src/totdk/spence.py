@@ -28,6 +28,8 @@ double-sum identity, collapses into the formula itself.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,9 +72,19 @@ class IdentityResult:
         }
 
 
-def _require_n_ge_2(n: int) -> None:
+def _require_n_ge_2(n: int) -> int:
+    n = operator.index(n)
     if n < 2:
         raise DomainError(f"requires n > 1, got {n}")
+    return n
+
+
+def _fraction(x: Fraction | int) -> Fraction:
+    """theta's and nu's x as a Fraction of ints: a float is refused, and a
+    numpy integer is read through operator.index rather than computed on."""
+    if not isinstance(x, numbers.Rational):
+        raise TypeError(f"x must be rational, got {type(x).__name__}")
+    return Fraction(operator.index(x.numerator), operator.index(x.denominator))
 
 
 def theta(n: int, x: Fraction | int) -> int:
@@ -80,13 +92,13 @@ def theta(n: int, x: Fraction | int) -> int:
 
     For x >= 0 this equals the number of integers in [1, x] coprime to n.
     """
-    x = Fraction(x)
+    x = _fraction(x)
     return sum(mu * (x // d) for d, mu in squarefree_divisors_from(distinct_primes(n)))
 
 
 def nu(n: int, x: Fraction | int) -> Fraction:
     """Moebius-weighted fractional-part sum; theta + nu = x * phi(n) / n."""
-    x = Fraction(x)
+    x = _fraction(x)
     return sum(mu * (x / d % 1) for d, mu in squarefree_divisors_from(distinct_primes(n)))
 
 
@@ -144,7 +156,7 @@ def _theta_nu_sums(residues: np.ndarray, pairs: list[tuple[int, int]], m: int) -
 
 def sum_j_aj_bruteforce(n: int) -> int:
     """sum(j * a_j) over the ascending totatives of n, by direct enumeration."""
-    _require_n_ge_2(n)
+    n = _require_n_ge_2(n)
     return _sum_j_aj(coprime_residues(n))
 
 
@@ -179,7 +191,7 @@ def spence_closed_form(n: int) -> int:
     m is the radical of n.  The product is divisible by 24 for every n > 1;
     integrality is asserted, not assumed.
     """
-    _require_n_ge_2(n)
+    n = _require_n_ge_2(n)
     numerator = _closed_forms(n)[2]
     if numerator % 24:
         raise InvariantViolation(
@@ -197,41 +209,38 @@ def s_double_sum(n: int) -> Fraction:
     s(n/d1, n/d2) = s(h, k) with mu(d1) mu(d2) = mu(h*k).  So each coprime
     (h, k) stands for the 2^(omega(n) - omega(h*k)) choices of g, and
     k = 1 adds s(h, 1) = 0: 3^omega - 2^omega Dedekind sums where the
-    ordered divisor pairs are 4^omega.  Every one comes from the integer
-    closed form of totdk.dedekind as s(h, k) = N / (12*k); the double sum
-    is accumulated in integers as a numerator over 12*n, N * (n // k) per
-    pair, and S(n) = total / 12 is the one Fraction built.
+    ordered divisor pairs are 4^omega.  h, k and mu(h*k) are read from the
+    prime-bitmask divisor table of totdk.arith, in which disjoint submasks
+    index coprime divisors.  Each s(h, k) = N / (12*k) comes from the integer
+    closed form of totdk.dedekind; the sum is accumulated as a numerator over
+    12*n, N * (n // k) per pair, and S(n) = total / 12 is the one Fraction.
     """
-    _require_n_ge_2(n)
+    n = _require_n_ge_2(n)
     primes = distinct_primes(n)
-    # ds[mask] is the product of the primes whose bits are set in mask.
-    ds = [1]
-    for p in primes:
-        ds += [d * p for d in ds]
+    table = squarefree_divisors_from(primes)
     total = 0
-    for union in range(1, len(ds)):
-        # h*k = ds[union]: k runs over the nonzero submasks, h is the rest.
+    for union in range(1, len(table)):
+        # h*k = table[union]: k runs over the nonzero submasks, h is the rest.
         pairs_sum = 0
         k_mask = union
         while k_mask:
-            numerator, k, _ = _closed_form(ds[union ^ k_mask], ds[k_mask])
+            numerator, k, _ = _closed_form(table[union ^ k_mask][0], table[k_mask][0])
             pairs_sum += numerator * (n // k)
             k_mask = (k_mask - 1) & union
-        size = union.bit_count()
-        pairs_sum <<= len(primes) - size
-        total += -pairs_sum if size % 2 else pairs_sum
+        total += (table[union][1] * pairs_sum) << (len(primes) - union.bit_count())
     return Fraction(total, 12)
 
 
 def s_closed_form(n: int) -> Fraction:
     """S(n) in closed form: phi(n)/24 * (2*(-1)^omega(m)*phi(m) + 2^omega(n))."""
-    _require_n_ge_2(n)
+    n = _require_n_ge_2(n)
     return Fraction(_closed_forms(n)[4], 24)
 
 
 def delange_closed_form(n: int) -> Fraction:
     """Delange's closed form 2^omega(n) * phi(n) / n for the gcd double sum
     sum(mu(d1) mu(d2) * d1*d2/n^2 * gcd(n/d1, n/d2)^2) over divisor pairs of n."""
+    n = operator.index(n)
     return Fraction(_closed_forms(n)[5], n)
 
 
@@ -253,7 +262,7 @@ def verify_chain(n: int) -> list[IdentityResult]:
     The square-free divisors of n are built once, from the primes that
     _closed_forms returns, and feed both the theta/nu kernel and the Delange sum.
     """
-    _require_n_ge_2(n)
+    n = _require_n_ge_2(n)
     primes, m, spence24, sum_sq6, s24, delange_n = _closed_forms(n)
     pairs = squarefree_divisors_from(primes)
     residues = coprime_residues(n)

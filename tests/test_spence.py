@@ -387,6 +387,20 @@ def test_s_double_sum_evaluates_one_dedekind_sum_per_coprime_pair(monkeypatch, n
     assert all(a > 1 and math.gcd(b, a) == 1 for b, a in calls)
 
 
+def test_s_double_sum_reads_the_divisor_table_of_arith(monkeypatch):
+    # One divisor table per n, built by arith; s_double_sum builds none of its own.
+    tables = []
+    real = totdk.spence.squarefree_divisors_from
+
+    def counted(primes):
+        tables.append(real(primes))
+        return tables[-1]
+
+    monkeypatch.setattr(totdk.spence, "squarefree_divisors_from", counted)
+    assert s_double_sum(30030) == s_closed_form(30030)
+    assert len(tables) == 1 and len(tables[0]) == 64
+
+
 def test_s_double_sum_matches_definition_with_naive_oracle():
     # S(n) = n * sum over d1, d2 | n of mu(d1) mu(d2) s(n/d1, n/d2), term by term
     for n in range(2, 301):
