@@ -9,7 +9,6 @@ Hickerson and Knuth.
 
 from .arith import (
     ENUMERATION_BOUND,
-    Sieve,
     coprime_residues,
     distinct_primes,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "InvariantViolation",
     "NAIVE_BOUND",
     "ResourceLimitError",
-    "Sieve",
     "VerificationReport",
     "coprime_residues",
     "dedekind_fast",

@@ -1,10 +1,11 @@
 """The distinct primes of n and the arithmetic the identity chain reads from them.
 
 The chain needs no prime exponent, so `distinct_primes` is the package's only
-factorization: it reads the table of the innermost open `with Sieve(limit):`
-scope when that covers n and does its own trial division otherwise, so a bulk
-loop opens one scope.  From the primes follow the totatives as an int64 array
-and the square-free divisors with their Moebius weights, listed by prime bitmask.
+factorization: it reads the smallest-prime-factor table of the innermost open
+`with Sieve(limit):` scope when that covers n and does its own trial division
+otherwise.  `Sieve` is internal: `verify._run_shard` opens one scope per shard.
+From the primes follow the totatives as an int64 array and the square-free
+divisors with their Moebius weights, listed by prime bitmask.
 """
 
 from __future__ import annotations
@@ -25,17 +26,17 @@ from .errors import DomainError, ResourceLimitError
 #: n <= 2_000_000.  It is therefore a constant, not a per-call argument.
 ENUMERATION_BOUND = 2_000_000
 
-# Sieves whose scopes are open in this thread or task, innermost last.  A stack
-# rather than per-Sieve tokens, so one Sieve may be open in two threads at once.
-_open_sieves = contextvars.ContextVar("totdk_open_sieves", default=())
+# Tables of the Sieve scopes open in this thread or task, innermost last.  A
+# stack rather than per-Sieve tokens, so one Sieve may be open in two threads.
+_open_tables = contextvars.ContextVar("totdk_open_tables", default=())
 
 
 def distinct_primes(n: int) -> tuple[int, ...]:
-    """Ascending distinct primes of n: from the open Sieve covering n, else by
+    """Ascending distinct primes of n: from the open table covering n, else by
     trial division by 2, 3, then 6k+-1.  The empty tuple for n = 1."""
     n = operator.index(n)
-    sieves = _open_sieves.get()
-    if not sieves or not 1 <= n <= sieves[-1].limit:
+    tables = _open_tables.get()
+    if not tables or not 1 <= n < len(tables[-1]):
         if n < 1:
             raise DomainError(f"requires n >= 1, got {n}")
         primes, p, step = [], 2, 1
@@ -49,7 +50,7 @@ def distinct_primes(n: int) -> tuple[int, ...]:
         if n > 1:
             primes.append(n)
         return tuple(primes)
-    spf, primes = sieves[-1]._spf, []
+    spf, primes = tables[-1], []
     while n > 1:
         p = spf[n]
         primes.append(p)
@@ -71,7 +72,7 @@ def squarefree_divisors_from(primes: Sequence[int]) -> list[tuple[int, int]]:
 def coprime_residues(n: int) -> np.ndarray:
     """Ascending int64 array of the totatives of n ((1,) for n = 1).
 
-    Sieves multiples of each distinct prime of n out of [1, n).
+    Sieves multiples of each distinct prime of n out of [1, n], n included.
     """
     n = operator.index(n)
     if n < 1:
@@ -80,9 +81,7 @@ def coprime_residues(n: int) -> np.ndarray:
         raise ResourceLimitError(
             f"totative enumeration bound exceeded: n={n} > {ENUMERATION_BOUND}"
         )
-    if n == 1:
-        return np.ones(1, dtype=np.int64)
-    mask = np.ones(n, dtype=bool)
+    mask = np.ones(n + 1, dtype=bool)
     mask[0] = False
     for p in distinct_primes(n):
         mask[p::p] = False
@@ -103,7 +102,6 @@ class Sieve:
             raise DomainError(f"sieve limit must be >= 1, got {limit}")
         if limit > ENUMERATION_BOUND:
             raise ResourceLimitError(f"sieve bound exceeded: limit={limit} > {ENUMERATION_BOUND}")
-        self.limit = limit
         spf = np.arange(limit + 1)
         # Descending p, so the smallest prime factor of j is the last write to spf[j].
         for p in range(math.isqrt(limit), 1, -1):
@@ -111,8 +109,8 @@ class Sieve:
         self._spf = spf.tolist()
 
     def __enter__(self) -> Sieve:
-        _open_sieves.set((*_open_sieves.get(), self))
+        _open_tables.set((*_open_tables.get(), self._spf))
         return self
 
     def __exit__(self, *exc_info) -> None:
-        _open_sieves.set(_open_sieves.get()[:-1])
+        _open_tables.set(_open_tables.get()[:-1])

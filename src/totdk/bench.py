@@ -11,6 +11,7 @@ reproducible from the seed alone, independent of any library RNG.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -45,6 +46,7 @@ def generate_pairs(count: int, max_a: int, seed: int) -> list[tuple[int, int]]:
 
     Each value is drawn from one 64-bit state, so max_a may not exceed 2**64.
     """
+    count, max_a, seed = operator.index(count), operator.index(max_a), operator.index(seed)
     if count < 1 or not 1 <= max_a <= 1 << 64:
         raise DomainError(
             f"need count >= 1 and 1 <= max_a <= 2**64, got ({count}, {max_a})"

@@ -142,7 +142,7 @@ def _theta_nu_sums(residues: np.ndarray, pairs: list[tuple[int, int]], m: int) -
     frac(a/d) = (a mod d)/d over the common denominator m, apply in Python ints.
     """
     ds = np.array([d for d, _ in pairs], dtype=np.int64)
-    rows = max(1, _BLOCK_ELEMENTS // len(residues))
+    rows = max(1, _BLOCK_ELEMENTS // max(len(residues), 1))
     theta_weighted = nu_numerator = 0
     for lo in range(0, len(pairs), rows):
         floors, rems = np.divmod(residues, ds[lo : lo + rows, None])

@@ -14,8 +14,8 @@ stable sort on n; each n lives in one shard, so the report content is
 identical for any worker count.  `VerificationReport.render(fmt)` is the one
 renderer.  Its JSON and CSV carry no timing data for the same reason:
 byte-identical reports are the contract, and wall-clock time is reported
-separately (human format and stderr).  Shards that factorize run inside one
-`with Sieve(end):` scope each.
+separately (human format and stderr).  `_run_shard` opens the package's one
+`with Sieve(end):` scope, once per shard that factorizes.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import multiprocessing
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -154,6 +155,7 @@ def run_suite(
     """
     if suite not in SUITES:
         raise DomainError(f"unknown suite: {suite} (expected one of {SUITES})")
+    start, end, workers = operator.index(start), operator.index(end), operator.index(workers)
     min_start = 1 if suite == "dedekind" else 2
     if start < min_start or start > end:
         raise DomainError(

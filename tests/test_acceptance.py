@@ -29,7 +29,6 @@ from oracles import (
     totient,
 )
 from totdk import (
-    Sieve,
     coprime_residues,
     dedekind_fast,
     dedekind_naive,
@@ -42,7 +41,7 @@ from totdk import (
     theta,
     verify_chain,
 )
-from totdk.arith import distinct_primes
+from totdk.arith import Sieve, distinct_primes
 from totdk.bench import depth_ceiling, lcg_states, run_bench
 from totdk.dedekind import _closed_form
 

@@ -13,12 +13,11 @@ from totdk import (
     ENUMERATION_BOUND,
     DomainError,
     ResourceLimitError,
-    Sieve,
     coprime_residues,
     distinct_primes,
 )
 import totdk.arith
-from totdk.arith import squarefree_divisors_from
+from totdk.arith import Sieve, squarefree_divisors_from
 
 small_n = st.integers(min_value=1, max_value=50_000)
 

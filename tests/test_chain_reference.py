@@ -19,7 +19,6 @@ from oracles import delange_double_sum, totient
 import totdk.arith
 import totdk.spence
 from totdk import (
-    Sieve,
     dedekind_fast,
     delange_closed_form,
     s_closed_form,
@@ -27,7 +26,7 @@ from totdk import (
     spence_closed_form,
     verify_chain,
 )
-from totdk.arith import distinct_primes, squarefree_divisors_from
+from totdk.arith import Sieve, distinct_primes, squarefree_divisors_from
 from totdk.spence import IdentityResult
 
 

@@ -306,6 +306,21 @@ def test_invariant_violation_exits_4(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_an_empty_totative_array_is_reported_not_raised(capsys, monkeypatch):
+    # With its last totative dropped, n = 2 has none: the theta/nu kernel sums
+    # an empty array, and the sweep ends in a full report.
+    real = totdk.spence.coprime_residues
+    monkeypatch.setattr(totdk.spence, "coprime_residues", lambda n: real(n)[:-1])
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "chain", "--from", "2", "--to", "6", "--format", "csv"
+    )
+    assert code == 4
+    assert "Traceback" not in err
+    rows = out.splitlines()[1:]
+    assert len(rows) == 18
+    assert rows[:2] == ["2,sum_of_squares,0,1,False", "2,spence_formula,0,1,False"]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_spence_suite_reports_a_non_integral_closed_form(capsys, monkeypatch, workers):
     # The spence suite lists the fault as the chain suite does, one failing
@@ -454,7 +469,7 @@ def test_bench_max_a_capped_by_naive_bound(capsys):
     assert "naive bound" in err
 
 
-def test_naive_bound_env_flows_into_verify_config(capsys):
+def test_naive_bound_is_reported_in_verify_config(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--from", "2", "--to", "5", "--suite", "spence", "--format", "json"
     )

@@ -13,16 +13,20 @@ import numpy as np
 import pytest
 
 import totdk
+import totdk.bench
+import totdk.verify
 from totdk import (
     IdentityResult,
     dedekind_fast,
     dedekind_naive,
     delange_closed_form,
     nu,
+    run_suite,
     s_closed_form,
     spence_closed_form,
     theta,
 )
+from totdk.bench import generate_pairs
 
 # Each exact function of arith, spence and dedekind that takes an integer,
 # with integer arguments to call it at; theta's and nu's x is a Fraction.
@@ -99,3 +103,34 @@ def test_naive_dedekind_sum_of_numpy_arguments_is_exact():
     expected = Fraction(1601665116667, 6200000)
     assert dedekind_fast(1, 3_100_000) == expected
     assert dedekind_naive(np.int64(1), np.int64(3_100_000)) == expected
+
+
+@pytest.mark.parametrize(
+    "suite,start,end", [("spence", 2, 40), ("chain", 2, 40), ("dedekind", 1, 12)]
+)
+def test_run_suite_reads_its_range_and_workers_as_ints(monkeypatch, suite, start, end):
+    as_ints = run_suite(suite, start, end, workers=2)
+    as_numpy = run_suite(suite, np.int64(start), np.int64(end), workers=np.int64(2))
+    for fmt in ("json", "csv"):
+        assert as_numpy.render(fmt) == as_ints.render(fmt)
+
+    def no_shard(job):
+        raise AssertionError("a shard started")
+
+    monkeypatch.setattr(totdk.verify, "_run_shard", no_shard)
+    for first, last, workers in ((float(start), end, 1), (start, float(end), 1), (start, end, 1.0)):
+        with pytest.raises(TypeError):
+            run_suite(suite, first, last, workers=workers)
+
+
+def test_generate_pairs_reads_its_arguments_as_ints(monkeypatch):
+    expected = generate_pairs(3, 100, 1)
+    assert _typed(generate_pairs(np.int64(3), np.int64(100), np.int64(1))) == _typed(expected)
+
+    def no_draw(seed):
+        raise AssertionError("a pair was drawn")
+
+    monkeypatch.setattr(totdk.bench, "lcg_states", no_draw)
+    for args in ((3.0, 100, 1), (3, 100.0, 1), (3, 100, 1.0)):
+        with pytest.raises(TypeError):
+            generate_pairs(*args)

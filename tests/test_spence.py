@@ -28,7 +28,6 @@ from totdk import (
     DomainError,
     InvariantViolation,
     ResourceLimitError,
-    Sieve,
     coprime_residues,
     dedekind_naive,
     delange_closed_form,
@@ -41,7 +40,7 @@ from totdk import (
     verify_chain,
 )
 import totdk.spence
-from totdk.arith import distinct_primes
+from totdk.arith import Sieve, distinct_primes
 from totdk.spence import _closed_forms, _sum_j_aj
 
 

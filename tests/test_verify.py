@@ -365,3 +365,24 @@ def test_each_n_calls_every_benchmark_counted_name_once(monkeypatch, suite, name
         calls.clear()
         assert totdk.verify._suite_failures(suite, n, n) == []
         assert calls == {name: 1 for _, name in names}, n
+
+
+@pytest.mark.parametrize(
+    "suite,start,end,workers,sieves",
+    [("chain", 2, 60, 1, 1), ("spence", 2, 61, 3, 3), ("dedekind", 1, 12, 1, 0)],
+)
+def test_each_shard_that_factorizes_opens_one_sieve(
+    monkeypatch, in_process_pool, suite, start, end, workers, sieves
+):
+    # perfbench/tracing.py counts the calls of this module's Sieve, and
+    # perfbench/workloads.py pins that count to the number of shards.
+    opened = []
+    real = totdk.verify.Sieve
+
+    def counting(limit):
+        opened.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(totdk.verify, "Sieve", counting)
+    assert run_suite(suite, start, end, workers=workers).ok
+    assert opened == [end] * sieves
