@@ -98,8 +98,6 @@ class Sieve:
     """
 
     def __init__(self, limit: int):
-        if limit < 1:
-            raise DomainError(f"sieve limit must be >= 1, got {limit}")
         if limit > ENUMERATION_BOUND:
             raise ResourceLimitError(f"sieve bound exceeded: limit={limit} > {ENUMERATION_BOUND}")
         spf = np.arange(limit + 1)

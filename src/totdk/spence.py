@@ -62,15 +62,6 @@ class IdentityResult:
     rhs: Fraction
     matched: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "identity": self.identity,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "matched": self.matched,
-        }
-
 
 def _require_n_ge_2(n: int) -> int:
     n = operator.index(n)
@@ -279,7 +270,7 @@ def verify_chain(n: int) -> list[IdentityResult]:
     terms = [(mu * d, n // d) for d, mu in pairs]
     off_diagonal = diagonal = 0
     for i, (w1, q1) in enumerate(terms):
-        diagonal += w1 * w1 * math.gcd(q1, q1) ** 2
+        diagonal += (w1 * q1) ** 2
         for w2, q2 in terms[i + 1 :]:
             off_diagonal += w1 * w2 * math.gcd(q1, q2) ** 2
     delange_num = 2 * off_diagonal + diagonal

@@ -11,11 +11,12 @@ for one n by `_suite_failures`:
 Ranges may be sharded across worker processes.  Blocks of six consecutive n
 are dealt round-robin to the shards, and the shards' failures are merged by a
 stable sort on n; each n lives in one shard, so the report content is
-identical for any worker count.  `VerificationReport.render(fmt)` is the one
-renderer.  Its JSON and CSV carry no timing data for the same reason:
-byte-identical reports are the contract, and wall-clock time is reported
-separately (human format and stderr).  `_run_shard` opens the package's one
-`with Sieve(end):` scope, once per shard that factorizes.
+identical for any worker count.  `VerificationReport.render(fmt)` writes all
+of a report's text.  Its JSON and CSV read only the suite, the range, `checked`
+and the failures, never timing: byte-identical reports are the contract, and
+wall-clock time is reported separately (human format and stderr).
+`_run_shard` opens the package's one `with Sieve(end):` scope, once per shard
+that factorizes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import ENUMERATION_BOUND, Sieve
@@ -52,6 +53,9 @@ SUITES = ("spence", "chain", "dedekind", "all")
 # workers: simulated from measured per-n costs, its chain skew reached 1.14-1.25.
 _BLOCK = 6
 
+#: A failure row's columns: its keys in JSON and the CSV header.
+_COLUMNS = ("n", "identity", "lhs", "rhs", "matched")
+
 
 @dataclass
 class VerificationReport:
@@ -63,7 +67,6 @@ class VerificationReport:
     checked: int
     failures: list[IdentityResult]
     elapsed_ms: float
-    config: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -71,24 +74,27 @@ class VerificationReport:
 
     def render(self, fmt: str) -> str:
         """The report as "json" or "csv", which carry no timing, or "human"."""
-        rows = [f.to_dict() for f in self.failures]
+        rows = [(f.n, f.identity, str(f.lhs), str(f.rhs), f.matched) for f in self.failures]
         if fmt == "json":
             payload = {
                 "suite": self.suite,
                 "range_start": self.range_start,
                 "range_end": self.range_end,
                 "checked": self.checked,
-                "failures": rows,
-                "config": self.config,
+                "failures": [dict(zip(_COLUMNS, row)) for row in rows],
+                "config": {
+                    "suite": self.suite,
+                    "from": self.range_start,
+                    "to": self.range_end,
+                    "b_max": self.range_end,
+                    "naive_bound": NAIVE_BOUND,
+                    "enumeration_bound": ENUMERATION_BOUND,
+                },
             }
             return json.dumps(payload, sort_keys=True, indent=2) + "\n"
         if fmt == "csv":
             out = io.StringIO()
-            writer = csv.DictWriter(
-                out, ["n", "identity", "lhs", "rhs", "matched"], lineterminator="\n"
-            )
-            writer.writeheader()
-            writer.writerows(rows)
+            csv.writer(out, lineterminator="\n").writerows([_COLUMNS, *rows])
             return out.getvalue()
         if fmt == "human":
             lines = [
@@ -97,8 +103,7 @@ class VerificationReport:
                 f"elapsed={self.elapsed_ms:.1f}ms"
             ]
             lines += [
-                f"  FAIL n={d['n']} {d['identity']}: lhs={d['lhs']} rhs={d['rhs']}"
-                for d in rows
+                f"  FAIL n={n} {name}: lhs={lhs} rhs={rhs}" for n, name, lhs, rhs, _ in rows
             ]
             if not rows:
                 lines.append("  all checks passed")
@@ -166,14 +171,6 @@ def run_suite(
         raise DomainError(f"range end {end} exceeds the {suite} suite's bound {bound}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    config = {
-        "suite": suite,
-        "from": start,
-        "to": end,
-        "b_max": end,
-        "naive_bound": NAIVE_BOUND,
-        "enumeration_bound": ENUMERATION_BOUND,
-    }
 
     t0 = time.perf_counter()
     shards = min(workers, -(-(end - start + 1) // _BLOCK))
@@ -206,5 +203,4 @@ def run_suite(
         checked=checked,
         failures=failures,
         elapsed_ms=elapsed_ms,
-        config=config,
     )

@@ -45,6 +45,11 @@ def test_factorize_rejects_nonpositive():
     for bad in (0, -4):
         with pytest.raises(DomainError):
             distinct_primes(bad)
+    # coprime_residues' own guard: n = 0 would reach distinct_primes' message,
+    # and n = -3 numpy's "negative dimensions" ValueError
+    for bad in (0, -3):
+        with pytest.raises(DomainError, match="totatives require n >= 1"):
+            coprime_residues(bad)
 
 
 @settings(deadline=None)

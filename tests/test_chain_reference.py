@@ -76,7 +76,6 @@ def reference_chain(n):
 def assert_same_chain(n):
     got, want = verify_chain(n), reference_chain(n)
     assert got == want, n
-    assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
     assert all(type(r.lhs) is type(r.rhs) is Fraction for r in got)
     return got
 
@@ -159,8 +158,12 @@ def test_planted_closed_form_fault_fails_exactly_the_link_that_reads_it(
     with Sieve(300):
         for n in range(2, 301):
             assert failing(verify_chain(n)) == {tag}, n
-    [result] = [r.to_dict() for r in verify_chain(12) if not r.matched]
-    assert result == {"n": 12, "identity": tag, "lhs": lhs, "rhs": rhs, "matched": False}
+    [result] = [
+        (r.n, r.identity, str(r.lhs), str(r.rhs), r.matched)
+        for r in verify_chain(12)
+        if not r.matched
+    ]
+    assert result == (12, tag, lhs, rhs, False)
 
 
 def test_chain_reads_the_primes_of_n_at_most_three_times(monkeypatch):

@@ -6,11 +6,13 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import totdk
+import totdk.bench
 import totdk.spence
 import totdk.verify
 from totdk import ENUMERATION_BOUND, NAIVE_BOUND
@@ -461,6 +463,20 @@ def test_bench_seed_changes_pairs(capsys):
 def test_bench_usage_errors_exit_2(capsys, argv):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 2
+
+
+def test_bench_exits_4_when_the_evaluators_disagree(capsys, monkeypatch):
+    real = totdk.bench.dedekind_naive
+    monkeypatch.setattr(
+        totdk.bench, "dedekind_naive", lambda b, a: real(b, a) + Fraction(1, 4 * a * a)
+    )
+    code, out, err = run_cli(capsys, "bench", "--pairs", "5", "--max-a", "100", "--seed", "1")
+    assert code == 4
+    assert err == "error: evaluator mismatch (correctness bug)\n"
+    lines = out.splitlines()
+    assert len(lines) == 9  # header, rule, 5 rows, depth line, totals line
+    assert all(row.endswith(" NO") for row in lines[2:7])
+    assert lines[-1].endswith("mismatches=5")
 
 
 def test_bench_max_a_capped_by_naive_bound(capsys):

@@ -3,13 +3,14 @@ text that reports render with str() and that `totdk eval` parses and prints."""
 
 import contextlib
 import io
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from totdk import IdentityResult, nu, theta
+from totdk import IdentityResult, VerificationReport, nu, theta
 from totdk.cli import _rational, main
 
 nonzero = st.integers(min_value=-10**12, max_value=10**12).filter(lambda x: x != 0)
@@ -43,7 +44,8 @@ def test_floor_frac_decomposition(x):
 
 def report_text(x):
     """x as a verify report renders it, in an IdentityResult row."""
-    row = IdentityResult(1, "x", x, x, True).to_dict()
+    report = VerificationReport("chain", 2, 2, 1, [IdentityResult(1, "x", x, x, True)], 0.0)
+    [row] = json.loads(report.render("json"))["failures"]
     assert row["lhs"] == row["rhs"]
     return row["lhs"]
 

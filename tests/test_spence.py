@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +29,7 @@ from totdk import (
     DomainError,
     InvariantViolation,
     ResourceLimitError,
+    VerificationReport,
     coprime_residues,
     dedekind_naive,
     delange_closed_form,
@@ -484,14 +486,10 @@ def test_verify_chain_range():
 
 
 def test_identity_result_serialization():
-    r = verify_chain(5)[0]
-    d = r.to_dict()
-    assert set(d) == {"n", "identity", "lhs", "rhs", "matched"}
-    assert d["n"] == 5
-    assert d["identity"] == "theta_reindex"
-    assert d["lhs"] == "30"
-    assert d["rhs"] == "30"
-    assert d["matched"] is True
+    report = VerificationReport("chain", 5, 5, 1, verify_chain(5)[:1], 0.0)
+    [row] = json.loads(report.render("json"))["failures"]
+    assert row == {"n": 5, "identity": "theta_reindex", "lhs": "30", "rhs": "30", "matched": True}
+    assert report.render("csv").splitlines()[1] == "5,theta_reindex,30,30,True"
 
 
 def test_verify_chain_rejects_n_1():

@@ -75,7 +75,7 @@ def test_dedekind_suite_full_grid():
     report = run_suite("dedekind", 1, 25)
     assert report.ok
     assert report.checked == 25
-    assert report.config["b_max"] == 25
+    assert json.loads(report.render("json"))["config"]["b_max"] == 25
 
 
 def test_all_suite():
@@ -85,12 +85,12 @@ def test_all_suite():
 
 
 def test_config_block():
-    report = run_suite("spence", 2, 10)
-    assert report.config["suite"] == "spence"
-    assert report.config["from"] == 2
-    assert report.config["to"] == 10
-    assert report.config["enumeration_bound"] == ENUMERATION_BOUND
-    assert report.config["naive_bound"] == NAIVE_BOUND
+    config = json.loads(run_suite("spence", 2, 10).render("json"))["config"]
+    assert config["suite"] == "spence"
+    assert config["from"] == 2
+    assert config["to"] == 10
+    assert config["enumeration_bound"] == ENUMERATION_BOUND
+    assert config["naive_bound"] == NAIVE_BOUND
 
 
 @pytest.mark.parametrize(
@@ -200,6 +200,14 @@ def test_report_with_failures_renders_everywhere():
     )
     assert not report.ok
     assert "example_identity" in report.render("json")
+    assert json.loads(report.render("json"))["config"] == {
+        "suite": "chain",
+        "from": 2,
+        "to": 10,
+        "b_max": 10,
+        "naive_bound": NAIVE_BOUND,
+        "enumeration_bound": ENUMERATION_BOUND,
+    }
     csv_lines = report.render("csv").splitlines()
     assert csv_lines[0] == "n,identity,lhs,rhs,matched"
     assert csv_lines[1] == "7,example_identity,1/2,1/3,False"
