@@ -26,6 +26,10 @@ from .errors import DomainError, ResourceLimitError
 #: n <= 2_000_000.  It is therefore a constant, not a per-call argument.
 ENUMERATION_BOUND = 2_000_000
 
+# Largest trial divisor, so that every factorization ends; no n <= ENUMERATION_BOUND
+# needs one above 1414.
+_TRIAL_DIVISION_CAP = 10**7
+
 # Tables of the Sieve scopes open in this thread or task, innermost last.  A
 # stack rather than per-Sieve tokens, so one Sieve may be open in two threads.
 _open_tables = contextvars.ContextVar("totdk_open_tables", default=())
@@ -33,7 +37,9 @@ _open_tables = contextvars.ContextVar("totdk_open_tables", default=())
 
 def distinct_primes(n: int) -> tuple[int, ...]:
     """Ascending distinct primes of n: from the open table covering n, else by
-    trial division by 2, 3, then 6k+-1.  The empty tuple for n = 1."""
+    trial division by 2, 3, then 6k+-1.  The empty tuple for n = 1.
+    Trial division past _TRIAL_DIVISION_CAP raises ResourceLimitError instead,
+    so whether n factors depends on n alone."""
     n = operator.index(n)
     tables = _open_tables.get()
     if not tables or not 1 <= n < len(tables[-1]):
@@ -41,6 +47,11 @@ def distinct_primes(n: int) -> tuple[int, ...]:
             raise DomainError(f"requires n >= 1, got {n}")
         primes, p, step = [], 2, 1
         while p * p <= n:
+            if p > _TRIAL_DIVISION_CAP:
+                raise ResourceLimitError(
+                    f"trial division bound exceeded: cofactor {n} has no prime factor"
+                    f" <= {_TRIAL_DIVISION_CAP}"
+                )
             if n % p == 0:
                 primes.append(p)
                 while n % p == 0:

@@ -33,15 +33,14 @@ from totdk import (
     dedekind_fast,
     dedekind_naive,
     delange_closed_form,
+    distinct_primes,
     nu,
+    run_suite,
     s_closed_form,
     s_double_sum,
     spence_closed_form,
-    sum_j_aj_bruteforce,
     theta,
-    verify_chain,
 )
-from totdk.arith import Sieve, distinct_primes
 from totdk.bench import depth_ceiling, lcg_states, run_bench
 from totdk.dedekind import _closed_form
 
@@ -64,24 +63,21 @@ def criterion(capsys):
     return _criterion
 
 
-@pytest.fixture(scope="module")
-def sieve100k():
-    return Sieve(100_000)
+def assert_sweep_passes(suite: str, start: int, end: int):
+    """The sweep `totdk verify --suite <suite>` runs: every n checked, none failed."""
+    report = run_suite(suite, start, end, workers=1)
+    assert report.ok and report.checked == end - start + 1, report.render("human")
 
 
 # --------------------------------------------------------------- criterion 1
 
 
-def test_acceptance_spence_exhaustive(criterion, sieve100k):
+def test_acceptance_spence_exhaustive(criterion):
     with criterion("Spence formula exact for all 2 <= n <= 100000"):
         assert spence_closed_form(4) == 7
         assert spence_closed_form(5) == 30
         assert spence_closed_form(6) == 11
-        with sieve100k:
-            for n in range(2, 100_001):
-                lhs = sum_j_aj_bruteforce(n)
-                rhs = spence_closed_form(n)
-                assert lhs == rhs, f"Spence formula mismatch at n={n}: {lhs} != {rhs}"
+        assert_sweep_passes("spence", 2, 100_000)
 
 
 # --------------------------------------------------------------- criterion 2
@@ -89,11 +85,7 @@ def test_acceptance_spence_exhaustive(criterion, sieve100k):
 
 def test_acceptance_dedekind_oracle_equivalence(criterion):
     with criterion("dedekind_fast == dedekind_naive on the full 500 x 500 grid"):
-        for a in range(1, 501):
-            for b in range(1, 501):
-                slow = dedekind_naive(b, a)
-                fast = dedekind_fast(b, a)
-                assert fast == slow, f"mismatch at (b={b}, a={a}): {fast} != {slow}"
+        assert_sweep_passes("dedekind", 1, 500)
 
 
 # --------------------------------------------------------------- criterion 3
@@ -124,30 +116,28 @@ def test_acceptance_scaling_identity(criterion):
 # --------------------------------------------------------------- criterion 5
 
 
-def test_acceptance_s_identity(criterion, sieve100k):
+def test_acceptance_s_identity(criterion):
     with criterion("S(n) double sum == closed form for all 2 <= n <= 2000"):
         assert s_double_sum(5) == Fraction(-1)
         assert s_closed_form(5) == Fraction(-1)
-        with sieve100k:
-            for n in range(2, 2001):
-                lhs = s_double_sum(n)
-                rhs = s_closed_form(n)
-                assert lhs == rhs, f"S(n) mismatch at n={n}: {lhs} != {rhs}"
+        for n in range(2, 2001):
+            lhs = s_double_sum(n)
+            rhs = s_closed_form(n)
+            assert lhs == rhs, f"S(n) mismatch at n={n}: {lhs} != {rhs}"
 
 
 # --------------------------------------------------------------- criterion 6
 
 
-def test_acceptance_delange_identity(criterion, sieve100k):
+def test_acceptance_delange_identity(criterion):
     with criterion("Delange double sum == 2^omega(n) phi(n)/n for all n <= 10000"):
         for p in (2, 3, 5, 7, 11, 13):
             for alpha in (1, 2, 3):
                 expected = 2 * (1 - Fraction(1, p))
                 assert delange_double_sum(p**alpha) == expected
         for n in range(1, 10_001):
-            with sieve100k:
-                lhs = delange_double_sum(n)
-                rhs = delange_closed_form(n)
+            lhs = delange_double_sum(n)
+            rhs = delange_closed_form(n)
             assert lhs == rhs, f"Delange mismatch at n={n}: {lhs} != {rhs}"
             primes = distinct_primes(n)
             assert rhs == Fraction(2 ** len(primes) * totient(n), n)
@@ -156,14 +146,9 @@ def test_acceptance_delange_identity(criterion, sieve100k):
 # --------------------------------------------------------------- criterion 7
 
 
-def test_acceptance_proof_chain(criterion, sieve100k):
+def test_acceptance_proof_chain(criterion):
     with criterion("all proof-chain links matched for all 2 <= n <= 5000"):
-        with sieve100k:
-            for n in range(2, 5001):
-                for r in verify_chain(n):
-                    assert r.matched, (
-                        f"link {r.identity} failed at n={n}: {r.lhs} != {r.rhs}"
-                    )
+        assert_sweep_passes("chain", 2, 5000)
 
 
 # --------------------------------------------------------------- criterion 8
@@ -181,16 +166,15 @@ def _check_sawtooth_oddness():
         assert sawtooth(Fraction(2 * k + 1, 2)) == 0
 
 
-def _check_vanishing_totative_sums(sieve):
+def _check_vanishing_totative_sums():
     # sum of sawtooth(a/d) over a in U(n) is 0 for every n <= 3000 and d | n;
     # with r = a mod d the numerator over 2d is sum of (2r - d) where r != 0
-    with sieve:
-        for n in range(2, 3001):
-            residues = coprime_residues(n)
-            for d in divisors(n):
-                r = residues % d
-                numerator = int(((2 * r - d) * (r != 0)).sum())
-                assert numerator == 0, f"totative sawtooth sum nonzero: n={n}, d={d}"
+    for n in range(2, 3001):
+        residues = coprime_residues(n)
+        for d in divisors(n):
+            r = residues % d
+            numerator = int(((2 * r - d) * (r != 0)).sum())
+            assert numerator == 0, f"totative sawtooth sum nonzero: n={n}, d={d}"
 
 
 def _check_vanishing_row_sums():
@@ -221,22 +205,21 @@ def _check_theta_nu_identity():
             assert theta(n, x) + nu(n, x) == x * ratio, f"failed at n={n}, x={x}"
 
 
-def _check_theta_counting(sieve):
+def _check_theta_counting():
     # theta(n, x) counts 1 <= k <= x coprime to n, exhaustive over 0 <= x <= n
-    with sieve:
-        for n in range(2, 1001):
-            x_grid = np.arange(0, n + 1, dtype=np.int64)
-            theta_vec = np.zeros(n + 1, dtype=np.int64)
-            for d, mu in _squarefree_pairs(n):
-                theta_vec += mu * (x_grid // d)
-            mask = np.ones(n, dtype=bool)
-            mask[0] = False
-            for p in distinct_primes(n):
-                mask[p::p] = False
-            counts = np.zeros(n + 1, dtype=np.int64)
-            counts[1:n] = np.cumsum(mask[1:])
-            counts[n] = counts[n - 1]
-            assert np.array_equal(theta_vec, counts), f"theta count mismatch at n={n}"
+    for n in range(2, 1001):
+        x_grid = np.arange(0, n + 1, dtype=np.int64)
+        theta_vec = np.zeros(n + 1, dtype=np.int64)
+        for d, mu in _squarefree_pairs(n):
+            theta_vec += mu * (x_grid // d)
+        mask = np.ones(n, dtype=bool)
+        mask[0] = False
+        for p in distinct_primes(n):
+            mask[p::p] = False
+        counts = np.zeros(n + 1, dtype=np.int64)
+        counts[1:n] = np.cumsum(mask[1:])
+        counts[n] = counts[n - 1]
+        assert np.array_equal(theta_vec, counts), f"theta count mismatch at n={n}"
     assert theta(1, 5) == 5  # n = 1: every k counts
 
 
@@ -244,7 +227,7 @@ def _squarefree_pairs(n):
     return [(d, moebius(d)) for d in divisors(math.prod(distinct_primes(n)))]
 
 
-def _check_gcd_divisor_identity(sieve):
+def _check_gcd_divisor_identity():
     # d1 * d2 * gcd(n/d1, n/d2) == n * gcd(d1, d2), exhaustive for n <= 10^4
     for n in range(1, 10_001):
         ds = divisors(n)
@@ -256,12 +239,11 @@ def _check_gcd_divisor_identity(sieve):
                 )
 
 
-def _check_mod24_integrality(sieve):
+def _check_mod24_integrality():
     for n in range(2, 20_001):
-        with sieve:
-            m = math.prod(distinct_primes(n))
-            phi_n = totient(n)
-            phi_m = totient(m)
+        m = math.prod(distinct_primes(n))
+        phi_n = totient(n)
+        phi_m = totient(m)
         w = len(distinct_primes(m))
         sign = -1 if w % 2 else 1
         product = phi_n * (8 * n * phi_n + 6 * n + 2 * sign * phi_m - 2**w)
@@ -285,14 +267,13 @@ def _check_periodicity():
             assert dedekind_naive(b + a, a) == dedekind_naive(b, a)
 
 
-def _check_nu_weighted_link(sieve):
+def _check_nu_weighted_link():
     # sum of nu(n, a) * a over U(n) == -n phi(n)/4 + S(n) for 2 <= n <= 2000
-    with sieve:
-        for n in range(2, 2001):
-            lhs = nu_weighted_sum_bruteforce(n)
-            phi_n = totient(n)
-            rhs = Fraction(-n * phi_n, 4) + s_double_sum(n)
-            assert lhs == rhs, f"nu-weighted link failed at n={n}"
+    for n in range(2, 2001):
+        lhs = nu_weighted_sum_bruteforce(n)
+        phi_n = totient(n)
+        rhs = Fraction(-n * phi_n, 4) + s_double_sum(n)
+        assert lhs == rhs, f"nu-weighted link failed at n={n}"
 
 
 def _check_arith_invariants():
@@ -323,7 +304,7 @@ def _check_delange_multiplicativity():
                 assert delange_closed_form(a * b) == values[a] * values[b]
 
 
-def test_acceptance_property_suites(criterion, sieve100k):
+def test_acceptance_property_suites(criterion):
     with criterion(
         "property suites: sawtooth oddness, vanishing sums, theta+nu, theta "
         "counting, gcd identity, mod-24 integrality, Moebius transform, "
@@ -331,15 +312,15 @@ def test_acceptance_property_suites(criterion, sieve100k):
         "multiplicativity"
     ):
         _check_sawtooth_oddness()
-        _check_vanishing_totative_sums(sieve100k)
+        _check_vanishing_totative_sums()
         _check_vanishing_row_sums()
         _check_theta_nu_identity()
-        _check_theta_counting(sieve100k)
-        _check_gcd_divisor_identity(sieve100k)
-        _check_mod24_integrality(sieve100k)
+        _check_theta_counting()
+        _check_gcd_divisor_identity()
+        _check_mod24_integrality()
         _check_mobius_transform_contract()
         _check_periodicity()
-        _check_nu_weighted_link(sieve100k)
+        _check_nu_weighted_link()
         _check_arith_invariants()
         _check_delange_multiplicativity()
 

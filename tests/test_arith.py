@@ -80,6 +80,20 @@ def test_trial_division_edge_cases(n):
             assert distinct_primes(n) == expected
 
 
+def test_trial_division_past_its_cap_is_refused(monkeypatch):
+    # Under a cap of 1000 the next divisor is 1001, and 1001**2 <= 1009 * 1013.
+    monkeypatch.setattr(totdk.arith, "_TRIAL_DIVISION_CAP", 1000)
+    with pytest.raises(ResourceLimitError, match="1000"):
+        distinct_primes(1009 * 1013)
+    assert distinct_primes(997**2) == (997,)
+    assert distinct_primes(997 * 1013) == (997, 1013)
+
+
+def test_a_strong_pseudoprime_factors_under_the_cap():
+    # A strong pseudoprime to every prime base 2..31: a probable-prime test passes it.
+    assert distinct_primes(3825123056546413051) == (149491, 747451, 34233211)
+
+
 # ------------------------------------------------- multiplicative functions
 
 

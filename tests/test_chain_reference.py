@@ -26,7 +26,7 @@ from totdk import (
     spence_closed_form,
     verify_chain,
 )
-from totdk.arith import Sieve, distinct_primes, squarefree_divisors_from
+from totdk.arith import distinct_primes, squarefree_divisors_from
 from totdk.spence import IdentityResult
 
 
@@ -85,10 +85,9 @@ def failing(results):
 
 
 def test_chain_equals_reference_link_by_link():
-    with Sieve(1500):
-        for n in range(2, 1501):
-            assert all(r.matched for r in assert_same_chain(n))
-            assert s_double_sum(n) == reference_s_double_sum(n), n
+    for n in range(2, 1501):
+        assert all(r.matched for r in assert_same_chain(n))
+        assert s_double_sum(n) == reference_s_double_sum(n), n
 
 
 @pytest.mark.parametrize("n", [1_531_530, 1_999_993])
@@ -108,19 +107,17 @@ def test_s_double_sum_equals_the_ungrouped_sum_at_large_omega(n):
 def test_planted_s_fault_fails_exactly_the_two_links_that_read_s(monkeypatch):
     real = totdk.spence.s_double_sum
     monkeypatch.setattr(totdk.spence, "s_double_sum", lambda n: real(n) + Fraction(1, 12))
-    with Sieve(300):
-        for n in range(2, 301):
-            assert failing(assert_same_chain(n)) == {"nu_weighted_sum", "dedekind_double_sum"}
+    for n in range(2, 301):
+        assert failing(assert_same_chain(n)) == {"nu_weighted_sum", "dedekind_double_sum"}
 
 
 def test_planted_residue_fault_fails_where_the_reference_fails(monkeypatch):
     real = totdk.spence.coprime_residues
     monkeypatch.setattr(totdk.spence, "coprime_residues", lambda n: real(n)[:-1])
-    with Sieve(300):
-        for n in range(3, 301):
-            got = failing(assert_same_chain(n))
-            assert got == failing(reference_chain(n))
-            assert "spence_formula" in got and "sum_of_squares" in got
+    for n in range(3, 301):
+        got = failing(assert_same_chain(n))
+        assert got == failing(reference_chain(n))
+        assert "spence_formula" in got and "sum_of_squares" in got
 
 
 @pytest.mark.parametrize("cap", [1, 7, 150])
@@ -128,9 +125,8 @@ def test_chain_equals_reference_at_any_block_size(monkeypatch, cap):
     # 1 gives one divisor row per block, 7 and 150 cut blocks of several rows
     # with a partial last block (150 // phi(210) = 3 rows of 16 divisors)
     monkeypatch.setattr(totdk.spence, "_BLOCK_ELEMENTS", cap)
-    with Sieve(400):
-        for n in range(2, 401):
-            assert all(r.matched for r in assert_same_chain(n))
+    for n in range(2, 401):
+        assert all(r.matched for r in assert_same_chain(n))
 
 
 @pytest.mark.parametrize(
@@ -155,9 +151,8 @@ def test_planted_closed_form_fault_fails_exactly_the_link_that_reads_it(
         return tuple(forms)
 
     monkeypatch.setattr(totdk.spence, "_closed_forms", planted)
-    with Sieve(300):
-        for n in range(2, 301):
-            assert failing(verify_chain(n)) == {tag}, n
+    for n in range(2, 301):
+        assert failing(verify_chain(n)) == {tag}, n
     [result] = [
         (r.n, r.identity, str(r.lhs), str(r.rhs), r.matched)
         for r in verify_chain(12)
@@ -177,8 +172,7 @@ def test_chain_reads_the_primes_of_n_at_most_three_times(monkeypatch):
 
     monkeypatch.setattr(totdk.arith, "distinct_primes", counted)
     monkeypatch.setattr(totdk.spence, "distinct_primes", counted)
-    with Sieve(300):
-        for n in range(2, 301):
-            verify_chain(n)
+    for n in range(2, 301):
+        verify_chain(n)
     assert set(calls) == set(range(2, 301))
     assert max(calls.values()) <= 3

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import totdk
+import totdk.arith
 import totdk.bench
 import totdk.spence
 import totdk.verify
@@ -90,6 +91,16 @@ def test_eval_domain_errors_exit_3(capsys):
     assert "error:" in err
     code, _, err = run_cli(capsys, "eval", "dedekind", "1", "0")
     assert code == 3
+
+
+@pytest.mark.parametrize("kind,extra", [("spence", ()), ("theta", ("1",))])
+def test_eval_past_the_trial_division_cap_exits_3_promptly(capsys, kind, extra):
+    n = (10**12 + 39) * (10**12 + 61)  # two primes above the cap
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", kind, str(n), *extra)
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (3, "")
+    assert "trial division bound exceeded" in err and str(totdk.arith._TRIAL_DIVISION_CAP) in err
 
 
 @pytest.mark.parametrize(

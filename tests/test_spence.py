@@ -363,9 +363,8 @@ def test_s_double_sum_prime_closed_form():
 
 
 def test_s_equality_range():
-    with Sieve(400):
-        for n in range(2, 401):
-            assert s_double_sum(n) == s_closed_form(n)
+    for n in range(2, 401):
+        assert s_double_sum(n) == s_closed_form(n)
 
 
 @pytest.mark.parametrize("n", [2, 12, 30, 30030, 360360])
@@ -480,9 +479,8 @@ def test_verify_chain_all_matched(n):
 
 
 def test_verify_chain_range():
-    with Sieve(300):
-        for n in range(2, 301):
-            assert all(r.matched for r in verify_chain(n))
+    for n in range(2, 301):
+        assert all(r.matched for r in verify_chain(n))
 
 
 def test_identity_result_serialization():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import factorize
 import totdk.spence
 import totdk.verify
 from totdk import (
@@ -394,3 +395,20 @@ def test_each_shard_that_factorizes_opens_one_sieve(
     monkeypatch.setattr(totdk.verify, "Sieve", counting)
     assert run_suite(suite, start, end, workers=workers).ok
     assert opened == [end] * sieves
+
+
+def test_chain_suite_evaluates_one_dedekind_sum_per_coprime_divisor_pair(monkeypatch):
+    # S(n) takes 3^omega - 2^omega closed forms, one per coprime pair of
+    # square-free divisors; ordered pairs would be 40808 on 2..1200, not 11871.
+    calls = 0
+    real = totdk.spence._closed_form
+
+    def counted(b, a):
+        nonlocal calls
+        calls += 1
+        return real(b, a)
+
+    monkeypatch.setattr(totdk.spence, "_closed_form", counted)
+    assert run_suite("chain", 2, 1200, workers=1).ok
+    omegas = [len(factorize(n)) for n in range(2, 1201)]
+    assert calls == sum(3**w - 2**w for w in omegas) == 11871
