@@ -6,18 +6,24 @@ Coprimality of the arguments is NOT required; the sum is well defined for
 any positive pair.
 
 One closed form reaches the exact value in O(log min(a, b)) integer steps.
-Two identities of the sum itself first reduce the pair:
+Two identities of the sum itself reduce the pair:
 
-  * scaling:      s(b*c, a*c) = s(b, a), so the pair is divided by its gcd;
-  * periodicity:  s(b, a) = s(b mod a, a), with s(0, a) = 0.
+  * periodicity:  s(b, a) = s(b mod a, a), with s(0, a) = 0;
+  * scaling:      s(b*c, a*c) = s(b, a).
 
-That leaves a coprime pair 0 < h < k, which the continued-fraction closed
-form of Hickerson (1977) and Knuth ("Notes on generalized Dedekind sums",
-Acta Arith. 1977) evaluates: with q_1..q_r the quotients of Euclid's
-algorithm on (k, h) and h' the inverse of h mod k,
+With g = gcd(b, a), that leaves the coprime pair 0 < h < k, h = (b mod a)/g
+and k = a/g, which the continued-fraction closed form of Hickerson (1977)
+and Knuth ("Notes on generalized Dedekind sums", Acta Arith. 1977)
+evaluates: with q_1..q_r the quotients of Euclid's algorithm on (k, h) and
+h' the inverse of h mod k,
 
     12*k*s(h, k) = k*(q_1 - q_2 + ... + (-1)^(r+1) q_r) + h + h'
                    - k*(3 if r is odd else 1).
+
+The pair is never divided before Euclid runs: the remainder sequence of
+(a, b mod a) is g times that of (k, h), so one extended-Euclid loop on
+(a, b mod a) yields the quotients, the depth r, g as its last nonzero
+remainder, and h' from that remainder's cofactor.
 
 The private entry `_closed_form` runs this in Python ints and returns the
 unreduced numerator, k and the Euclid depth r.  `dedekind_fast`, the one
@@ -34,7 +40,6 @@ in `tests/oracles.py`.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 
@@ -84,28 +89,42 @@ def dedekind_fast(b: int, a: int) -> Fraction:
 
 
 def _closed_form(b: int, a: int) -> tuple[int, int, int]:
-    """(N, k, r) with s(b, a) = N / (12*k), unreduced, k dividing a, and r the
-    length of Euclid's algorithm; a >= 1 and b >= 0 are the caller's to check.
+    """(N, k, r) with s(b, a) = N / (12*k), unreduced, k = a // gcd(b, a),
+    and r the length of Euclid's algorithm; a >= 1 and b >= 0 are the
+    caller's to check.
 
-    The pair is divided by its gcd (scaling) and b reduced mod a
-    (periodicity), leaving a coprime pair 0 <= h < k; h = 0 gives
-    s(0, k) = 0 at depth 0.  Otherwise the closed form in the module
-    docstring sums the Euclid quotients of (k, h) with alternating signs.
+    One extended-Euclid loop on (a, b mod a) does it all.  Taking b mod a
+    is the periodicity step; b mod a = 0 gives s(0, a) = 0 as (0, 1, 0).
+    Scaling is not a separate gcd: the loop's remainders are g = gcd(b, a)
+    times those of (k, h), so it sees their quotients and depth, and its
+    last nonzero remainder is g.  Every remainder is congruent to its
+    cofactor times b mod a, modulo a; dividing by g, the cofactor of g,
+    reduced mod k, is h'.  A turn of the loop takes two quotients, the first added and
+    the second subtracted.  The cofactors of x and y are -u and +v, so u
+    and v hold magnitudes only; whether x or y reaches 0 first tells which
+    of them holds g, the sign of its cofactor and the parity of r.
     """
-    g = math.gcd(b, a)
-    k = a // g
-    h = (b // g) % k
-    if not h:
-        return 0, k, 0
-    x, y = k, h
+    x, y = a, b % a
+    if not y:
+        return 0, 1, 0
+    b_mod_a = y
+    u, v = 0, 1
     alternating = 0
-    sign = 1
     depth = 0
-    while y:
-        q, r = divmod(x, y)
-        alternating += sign * q
-        sign = -sign
-        x, y = y, r
+    while True:
+        q, x = divmod(x, y)
+        alternating += q
+        u += q * v
         depth += 1
-    numerator = k * alternating + h + pow(h, -1, k) - k * (3 if depth % 2 else 1)
-    return numerator, k, depth
+        if not x:
+            g, inverse, tail = y, v, 3
+            break
+        q, y = divmod(y, x)
+        alternating -= q
+        v += q * u
+        depth += 1
+        if not y:
+            g, inverse, tail = x, -u, 1
+            break
+    k = a // g
+    return k * (alternating - tail) + b_mod_a // g + inverse % k, k, depth

@@ -143,11 +143,12 @@ def _run_shard(args: tuple) -> tuple[int, list[IdentityResult]]:
     ns = [
         n for lo in range(first, end + 1, stride) for n in range(lo, min(lo + _BLOCK, end + 1))
     ]
-    failures: list[IdentityResult] = []
+    checked, failures = 0, []
     with Sieve(end) if suite != "dedekind" else contextlib.nullcontext():
         for n in ns:
             failures.extend(_suite_failures(suite, n, end))
-    return len(ns), failures
+            checked += 1
+    return checked, failures
 
 
 def run_suite(

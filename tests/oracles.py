@@ -89,6 +89,29 @@ def sawtooth(x: Fraction | int) -> Fraction:
     return x % 1 - Fraction(1, 2)
 
 
+def closed_form_three_pass(b: int, a: int) -> tuple[int, int, int]:
+    """(N, k, r) as `dedekind._closed_form` returns them, by three Euclid runs:
+    math.gcd scales the pair to the coprime (k, h), a loop sums the signed
+    quotients of (k, h), and pow(h, -1, k) gives h'."""
+    g = math.gcd(b, a)
+    k = a // g
+    h = (b // g) % k
+    if not h:
+        return 0, k, 0
+    x, y = k, h
+    alternating = 0
+    sign = 1
+    depth = 0
+    while y:
+        q, r = divmod(x, y)
+        alternating += sign * q
+        sign = -sign
+        x, y = y, r
+        depth += 1
+    numerator = k * alternating + h + pow(h, -1, k) - k * (3 if depth % 2 else 1)
+    return numerator, k, depth
+
+
 def reciprocity_rhs(a: int, b: int) -> Fraction:
     """-1/4 + (a/b + 1/(a*b) + b/a)/12, over the common denominator 12*a*b.
 

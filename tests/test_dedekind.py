@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reciprocity_rhs, sawtooth
+from oracles import closed_form_three_pass, reciprocity_rhs, sawtooth
 from totdk import (
     NAIVE_BOUND,
     DomainError,
@@ -267,12 +267,21 @@ def test_fast_equals_reciprocity_oracle_on_big_pairs(pair):
     assert (dedekind_fast(b, a), _closed_form(b, a)[2]) == reciprocity_evaluator(b, a)
 
 
+@settings(max_examples=300, deadline=None)
+@given(big_pairs())
+def test_closed_form_equals_three_pass_oracle_on_big_pairs(pair):
+    # One extended-Euclid pass against separate gcd, quotient and inverse passes
+    b, a = pair
+    assert _closed_form(b, a) == closed_form_three_pass(b, a)
+
+
 def test_integer_closed_form_equals_naive():
-    # s(b, a) = N / (12k) unreduced, with k | a, at the reciprocity oracle's depth
+    # s(b, a) = N / (12k) unreduced, with k = a / gcd(b, a), at the reciprocity
+    # oracle's depth; s_double_sum scales each N by n // k and relies on that k
     for a in range(1, 61):
         for b in range(0, 2 * a + 1):
             numerator, k, depth = _closed_form(b, a)
-            assert a % k == 0
+            assert k == a // math.gcd(b, a)
             assert Fraction(numerator, 12 * k) == dedekind_naive(b, a), (b, a)
             assert depth == reciprocity_evaluator(b, a)[1]
 

@@ -256,6 +256,24 @@ def test_shards_deal_blocks_of_six(suite, start, span, workers):
     assert report.checked == count
 
 
+@pytest.mark.parametrize("suite", SUITES)
+def test_checked_counts_the_n_each_shard_checked(monkeypatch, suite):
+    # checked is counted where the shard checks an n, not from the n it was
+    # dealt, so an n its loop skipped would not count as checked.
+    calls = 0
+    real = totdk.verify._suite_failures
+
+    def counted(suite, n, b_max):
+        nonlocal calls
+        calls += 1
+        return real(suite, n, b_max)
+
+    monkeypatch.setattr(totdk.verify, "_suite_failures", counted)
+    report = run_suite(suite, 2, 31, workers=1)
+    assert report.ok
+    assert report.checked == calls == 30
+
+
 @pytest.mark.parametrize(
     "suite,start,end", [("spence", 2, 400), ("chain", 2, 120), ("dedekind", 1, 24)]
 )
