@@ -6,6 +6,11 @@ factorization: it reads the smallest-prime-factor table of the innermost open
 otherwise.  `Sieve` is internal: `verify._run_shard` opens one scope per shard.
 From the primes follow the totatives as an int64 array and the square-free
 divisors with their Moebius weights, listed by prime bitmask.
+
+numpy is imported only inside the two builders of arrays, `coprime_residues`
+and `Sieve`, after their bound checks.  Importing this module, calling
+`distinct_primes` or `squarefree_divisors_from`, and a call that a bound
+refuses leave numpy unloaded.
 """
 
 from __future__ import annotations
@@ -13,11 +18,12 @@ from __future__ import annotations
 import contextvars
 import math
 import operator
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, ResourceLimitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Largest n for which totatives are enumerated brute force.  The cap doubles
 #: as an exactness guarantee for the vectorized int64 reductions used by the
@@ -92,6 +98,8 @@ def coprime_residues(n: int) -> np.ndarray:
         raise ResourceLimitError(
             f"totative enumeration bound exceeded: n={n} > {ENUMERATION_BOUND}"
         )
+    import numpy as np
+
     mask = np.ones(n + 1, dtype=bool)
     mask[0] = False
     for p in distinct_primes(n):
@@ -111,6 +119,8 @@ class Sieve:
     def __init__(self, limit: int):
         if limit > ENUMERATION_BOUND:
             raise ResourceLimitError(f"sieve bound exceeded: limit={limit} > {ENUMERATION_BOUND}")
+        import numpy as np
+
         spf = np.arange(limit + 1)
         # Descending p, so the smallest prime factor of j is the last write to spf[j].
         for p in range(math.isqrt(limit), 1, -1):

@@ -32,13 +32,15 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import coprime_residues, distinct_primes, squarefree_divisors_from
 # dedekind_fast is not called here; perfbench/tracing.py wraps this module's name.
 from .dedekind import _closed_form, dedekind_fast  # noqa: F401
 from .errors import DomainError, InvariantViolation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Stable tags for the links checked by verify_chain, in the order computed.
 CHAIN_IDENTITIES = (
@@ -100,16 +102,21 @@ def nu(n: int, x: Fraction | int) -> Fraction:
 # Read-only ranks 1, 2, 3, ... shared by every _sum_j_aj call.  A fresh arange
 # per n, next to coprime_residues' own arrays, page-faults at large phi(n):
 # about 20 minor faults per n for n near 30000, none with the shared vector.
-# The vector only grows, by doubling, and is swapped in one assignment, so a
-# thread that read the old one still holds a valid vector.
-_ranks = np.arange(1, 1, dtype=np.int64)
+# It is None until the first call builds it, so that importing this module
+# loads no numpy; from then on it is an int64 vector, and even an empty
+# residue array gets the int 0 from an int64 product.  The vector only grows,
+# by doubling, and is swapped in one assignment, so a thread that read the
+# old one still holds a valid vector.
+_ranks = None
 
 
 def _sum_j_aj(residues: np.ndarray) -> int:
     global _ranks
     length = len(residues)
     ranks = _ranks
-    if len(ranks) < length:
+    if ranks is None or len(ranks) < length:
+        import numpy as np
+
         size = 1 << (length - 1).bit_length()
         ranks = np.arange(1, size + 1, dtype=np.int64)
         ranks.flags.writeable = False
@@ -132,6 +139,8 @@ def _theta_nu_sums(residues: np.ndarray, pairs: list[tuple[int, int]], m: int) -
     then two int64 mat-vec products; the Moebius weights, and m/d, which puts
     frac(a/d) = (a mod d)/d over the common denominator m, apply in Python ints.
     """
+    import numpy as np
+
     ds = np.array([d for d, _ in pairs], dtype=np.int64)
     rows = max(1, _BLOCK_ELEMENTS // max(len(residues), 1))
     theta_weighted = nu_numerator = 0

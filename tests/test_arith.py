@@ -264,7 +264,7 @@ def test_sieve_limit_above_the_enumeration_bound_is_refused_before_allocating(mo
     def no_allocation(*args, **kwargs):
         raise AssertionError("the table was allocated")
 
-    monkeypatch.setattr(totdk.arith.np, "arange", no_allocation)
+    monkeypatch.setattr(np, "arange", no_allocation)
     with pytest.raises(ResourceLimitError, match=str(ENUMERATION_BOUND)):
         Sieve(ENUMERATION_BOUND + 1)
 

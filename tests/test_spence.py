@@ -215,10 +215,11 @@ def test_bruteforce_exact_at_top_of_enumeration_range(n):
 
 @pytest.fixture
 def fresh_ranks(monkeypatch):
-    """Empty the shared rank vector, so the test sees it grow from nothing."""
+    """Put the shared rank vector back to its unbuilt start, so the test sees
+    it grow from nothing."""
 
     def reset():
-        monkeypatch.setattr(totdk.spence, "_ranks", np.arange(1, 1, dtype=np.int64))
+        monkeypatch.setattr(totdk.spence, "_ranks", None)
 
     reset()
     return reset
@@ -233,6 +234,17 @@ def test_rank_vector_is_read_only(fresh_ranks):
     with pytest.raises(ValueError):
         ranks[:10] += 1
     assert ranks[:3].tolist() == [1, 2, 3]
+
+
+@pytest.mark.parametrize("built", [0, 1, 5])
+def test_empty_residues_sum_to_the_int_zero(fresh_ranks, built):
+    # whether the vector is unbuilt, one rank long or longer, an empty array
+    # takes an int64 product, never a float one
+    if built:
+        _sum_j_aj(np.arange(1, built + 1, dtype=np.int64))
+    total = _sum_j_aj(np.empty(0, dtype=np.int64))
+    assert type(total) is int and total == 0
+    assert totdk.spence._ranks.dtype == np.int64
 
 
 def test_sum_j_aj_exact_around_each_doubling_point(fresh_ranks):
