@@ -23,6 +23,10 @@ LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 LCG_MASK = (1 << 64) - 1
 
+# Most pairs one run may draw: every pair and row is held in memory before
+# anything prints, so a larger count would exhaust memory instead of exiting.
+_MAX_PAIRS = 100_000
+
 @dataclass(frozen=True)
 class BenchRow:
     b: int
@@ -47,9 +51,9 @@ def generate_pairs(count: int, max_a: int, seed: int) -> list[tuple[int, int]]:
     Each value is drawn from one 64-bit state, so max_a may not exceed 2**64.
     """
     count, max_a, seed = operator.index(count), operator.index(max_a), operator.index(seed)
-    if count < 1 or not 1 <= max_a <= 1 << 64:
+    if not 1 <= count <= _MAX_PAIRS or not 1 <= max_a <= 1 << 64:
         raise DomainError(
-            f"need count >= 1 and 1 <= max_a <= 2**64, got ({count}, {max_a})"
+            f"need 1 <= count <= {_MAX_PAIRS} and 1 <= max_a <= 2**64, got ({count}, {max_a})"
         )
     states = lcg_states(seed)
     return [(1 + next(states) % max_a, 1 + next(states) % max_a) for _ in range(count)]

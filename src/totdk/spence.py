@@ -4,7 +4,7 @@ Spence's formula gives a closed form for sum(j * a_j) where a_1 < ... <
 a_phi(n) are the totatives of n.  Its proof decomposes into a short chain
 of exact identities; this module computes both sides of every link — a
 brute-force side that enumerates the totative set and a closed-form or
-Dedekind-sum side — so the whole chain is machine-checkable for any n.
+Dedekind-sum side — so the chain is machine-checkable up to ENUMERATION_BOUND.
 
 The auxiliary functions are the Moebius-weighted floor and fractional-part
 sums over the divisors of n:
@@ -32,6 +32,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .arith import coprime_residues, distinct_primes, squarefree_divisors_from
@@ -274,15 +275,13 @@ def verify_chain(n: int) -> list[IdentityResult]:
     theta_sum, nu_numerator = _theta_nu_sums(residues, pairs, m)
     sum_sq = int(residues @ residues)
     s_num, s_den = s_double_sum(n).as_integer_ratio()
-    # The Delange summand is symmetric in (d1, d2): twice the pairs d1 < d2,
-    # plus the diagonal, with weights mu(d) * d and mu(d)^2 = 1.
+    # The Delange summand is symmetric in (d1, d2): twice the unordered pairs
+    # d1 != d2, plus the diagonal, with weights mu(d) * d and mu(d)^2 = 1.
     terms = [(mu * d, n // d) for d, mu in pairs]
-    off_diagonal = diagonal = 0
-    for i, (w1, q1) in enumerate(terms):
-        diagonal += (w1 * q1) ** 2
-        for w2, q2 in terms[i + 1 :]:
-            off_diagonal += w1 * w2 * math.gcd(q1, q2) ** 2
-    delange_num = 2 * off_diagonal + diagonal
+    off_diagonal = 0
+    for (w1, q1), (w2, q2) in combinations(terms, 2):
+        off_diagonal += w1 * w2 * math.gcd(q1, q2) ** 2
+    delange_num = 2 * off_diagonal + sum((w * q) ** 2 for w, q in terms)
 
     sides = (
         (jaj, 1, theta_sum, 1),

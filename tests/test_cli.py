@@ -496,6 +496,18 @@ def test_bench_max_a_capped_by_naive_bound(capsys):
     assert "naive bound" in err
 
 
+def test_bench_pairs_capped_before_any_pair_is_drawn(capsys, monkeypatch):
+    def no_draw(seed):
+        raise AssertionError("a pair was drawn")
+
+    monkeypatch.setattr(totdk.bench, "lcg_states", no_draw)
+    bound = totdk.bench._MAX_PAIRS
+    code, out, err = run_cli(capsys, "bench", "--pairs", str(bound + 1), "--max-a", "10")
+    assert code == 2
+    assert out == ""
+    assert f"count <= {bound}" in err
+
+
 def test_naive_bound_is_reported_in_verify_config(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--from", "2", "--to", "5", "--suite", "spence", "--format", "json"

@@ -23,7 +23,8 @@ def _is_exception(obj) -> bool:
 
 
 def test_no_export_takes_a_prime_source():
-    # The primes of n come from the open `with Sieve(...):` scope, never from an argument.
+    # The primes of n come from distinct_primes, which reads a shard's table or
+    # does its own trial division, never from an argument.
     for name in totdk.__all__:
         obj = getattr(totdk, name)
         if callable(obj) and not _is_exception(obj):

@@ -275,7 +275,8 @@ def test_checked_counts_the_n_each_shard_checked(monkeypatch, suite):
 
 
 @pytest.mark.parametrize(
-    "suite,start,end", [("spence", 2, 400), ("chain", 2, 120), ("dedekind", 1, 24)]
+    "suite,start,end",
+    [("spence", 2, 400), ("chain", 2, 120), ("dedekind", 1, 24), ("all", 2, 30)],
 )
 def test_reports_byte_identical_for_workers_1_to_8(monkeypatch, suite, start, end):
     # Plant a failure at every 7th n, so the merge order shows in the report;
