@@ -16,6 +16,7 @@ import argparse
 import os
 import re
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
@@ -106,7 +107,18 @@ def _cmd_eval(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
         except ValueError:
             kind = "a rational p/q" if name == "x" else "an integer"
             parser.error(f"{name} must be {kind}, got {text!r}")
-    print(fn(*args))
+    value = fn(*args)
+    # An exact value may pass CPython's int-to-str digit limit (3.10.7 on):
+    # lift it for this one print only, so long arguments stay usage errors.
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            print(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    else:
+        print(value)
     return 0
 
 
@@ -116,6 +128,7 @@ def _cmd_verify(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
             f"--to {ns.end} exceeds the cap {DEFAULT_RANGE_CAP}"
             " (pass --allow-slow to raise it)"
         )
+    t0 = time.perf_counter()
     try:
         report = run_suite(ns.suite, ns.start, ns.end, workers=ns.workers)
     except DomainError as exc:
@@ -123,13 +136,12 @@ def _cmd_verify(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
     except BrokenProcessPool as exc:
         print(f"error: worker process died: {exc}", file=sys.stderr)
         return 3
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
     sys.stdout.write(report.render(ns.fmt))
-    if ns.fmt != "human":
-        print(
-            f"checked {report.checked} n in {report.elapsed_ms:.1f}ms, "
-            f"{len(report.failures)} failure(s)",
-            file=sys.stderr,
-        )
+    print(
+        f"checked {report.checked} n in {elapsed_ms:.1f}ms, {len(report.failures)} failure(s)",
+        file=sys.stderr,
+    )
     return 0 if report.ok else 4
 
 

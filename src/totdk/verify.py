@@ -12,9 +12,9 @@ Ranges may be sharded across worker processes.  Blocks of six consecutive n
 are dealt round-robin to the shards, and the shards' failures are merged by a
 stable sort on n; each n lives in one shard, so the report content is
 identical for any worker count.  `VerificationReport.render(fmt)` writes all
-of a report's text.  Its JSON and CSV read only the suite, the range, `checked`
-and the failures, never timing: byte-identical reports are the contract, and
-wall-clock time is reported separately (human format and stderr).
+of a report's text.  Every format reads only the suite, the range, `checked`
+and the failures, never timing: all three are byte-identical for any worker
+count, and wall-clock time goes to the CLI's stderr summary.
 `_run_shard` opens the package's one `with Sieve(end):` scope, once per shard
 that factorizes.
 """
@@ -28,7 +28,6 @@ import json
 import multiprocessing
 import operator
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,14 +65,13 @@ class VerificationReport:
     range_end: int
     checked: int
     failures: list[IdentityResult]
-    elapsed_ms: float
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def render(self, fmt: str) -> str:
-        """The report as "json" or "csv", which carry no timing, or "human"."""
+        """The report as "json", "csv" or "human"."""
         rows = [(f.n, f.identity, str(f.lhs), str(f.rhs), f.matched) for f in self.failures]
         if fmt == "json":
             payload = {
@@ -99,8 +97,7 @@ class VerificationReport:
         if fmt == "human":
             lines = [
                 f"suite={self.suite} range=[{self.range_start}, {self.range_end}] "
-                f"checked={self.checked} failures={len(rows)} "
-                f"elapsed={self.elapsed_ms:.1f}ms"
+                f"checked={self.checked} failures={len(rows)}"
             ]
             lines += [
                 f"  FAIL n={n} {name}: lhs={lhs} rhs={rhs}" for n, name, lhs, rhs, _ in rows
@@ -173,15 +170,19 @@ def run_suite(
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
 
-    t0 = time.perf_counter()
     shards = min(workers, -(-(end - start + 1) // _BLOCK))
     jobs = [(suite, start + _BLOCK * i, end, _BLOCK * shards) for i in range(shards)]
     if shards == 1:
         outcomes = [_run_shard(jobs[0])]
     else:
         older = set(multiprocessing.active_children())
-        # Fork starts all max_workers on the first submit, so never more than the CPUs.
-        with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
+        # Fork starts all max_workers on the first submit, so never more than the
+        # CPUs this process may run on (its affinity, not the host's count).
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(shards, cpus)) as pool:
             try:
                 outcomes = list(pool.map(_run_shard, jobs))
             except BaseException:
@@ -193,15 +194,7 @@ def run_suite(
                     worker.terminate()
                 pool.shutdown(wait=True, cancel_futures=True)
                 raise
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     checked = sum(c for c, _ in outcomes)
     failures = sorted((f for _, fs in outcomes for f in fs), key=lambda f: f.n)
-    return VerificationReport(
-        suite=suite,
-        range_start=start,
-        range_end=end,
-        checked=checked,
-        failures=failures,
-        elapsed_ms=elapsed_ms,
-    )
+    return VerificationReport(suite, start, end, checked, failures)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -78,6 +79,7 @@ def test_eval_kind_list():
         ("eval", "spence", "\u0663"),  # no other script's digits (Arabic-Indic 3)
         ("verify", "--from", "1_0", "--to", "12"),  # in options too
         ("bench", "--pairs", "1_0", "--max-a", "10"),
+        ("eval", "spence", "1" + "0" * 4300),  # past CPython's int-from-str digit limit
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -111,14 +113,45 @@ def test_eval_n_below_1_error_names_no_internal_function(capsys, argv):
     assert (code, out, err) == (3, "", "error: requires n >= 1, got 0\n")
 
 
+def _unlimited_str(value) -> str:
+    """str(value) past CPython's int-to-str digit limit, where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "kind,fn,args",
+    [
+        ("spence", totdk.spence_closed_form, (10**3000,)),
+        ("spence", totdk.spence_closed_form, (10**4299,)),  # the longest argument taken
+        ("dedekind", totdk.dedekind_fast, (1, 10**3000)),
+    ],
+)
+def test_eval_prints_values_past_the_int_digit_limit(capsys, kind, fn, args):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run_cli(capsys, "eval", kind, *map(str, args))
+    assert (code, err) == (0, "")
+    assert out == _unlimited_str(fn(*args)) + "\n"
+    if limit is not None:  # lifted for the print only
+        assert sys.get_int_max_str_digits() == limit
+
+
 # --------------------------------------------------------------------- verify
 
 
 def test_verify_human(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--from", "2", "--to", "30", "--suite", "chain")
+    code, out, err = run_cli(capsys, "verify", "--from", "2", "--to", "30", "--suite", "chain")
     assert code == 0
     assert "checked=29" in out
     assert "failures=0" in out
+    assert "elapsed" not in out
+    assert re.fullmatch(r"checked 29 n in [0-9]+\.[0-9]ms, 0 failure\(s\)\n", err)
 
 
 def test_verify_json(capsys):
@@ -370,6 +403,21 @@ def test_verify_chain_with_a_non_integral_closed_form_exits_4(capsys, monkeypatc
     assert failures[0] == {
         "n": 2, "identity": "spence_formula", "lhs": "1", "rhs": "25/24", "matched": False
     }
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+@pytest.mark.parametrize("planted", [False, True])
+def test_verify_writes_one_stderr_summary_in_every_format(capsys, monkeypatch, fmt, planted):
+    # wall time is the CLI's alone: one summary line on stderr, never in the report
+    if planted:
+        _spence_numerator_off_by_one(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "spence", "--from", "2", "--to", "10", "--format", fmt
+    )
+    failures = 9 if planted else 0
+    assert code == (4 if planted else 0)
+    assert re.fullmatch(rf"checked 9 n in [0-9]+\.[0-9]ms, {failures} failure\(s\)\n", err)
+    assert "elapsed" not in out
 
 
 @pytest.mark.parametrize(

@@ -44,7 +44,7 @@ def test_floor_frac_decomposition(x):
 
 def report_text(x):
     """x as a verify report renders it, in an IdentityResult row."""
-    report = VerificationReport("chain", 2, 2, 1, [IdentityResult(1, "x", x, x, True)], 0.0)
+    report = VerificationReport("chain", 2, 2, 1, [IdentityResult(1, "x", x, x, True)])
     [row] = json.loads(report.render("json"))["failures"]
     assert row["lhs"] == row["rhs"]
     return row["lhs"]

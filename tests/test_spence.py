@@ -496,7 +496,7 @@ def test_verify_chain_range():
 
 
 def test_identity_result_serialization():
-    report = VerificationReport("chain", 5, 5, 1, verify_chain(5)[:1], 0.0)
+    report = VerificationReport("chain", 5, 5, 1, verify_chain(5)[:1])
     [row] = json.loads(report.render("json"))["failures"]
     assert row == {"n": 5, "identity": "theta_reindex", "lhs": "30", "rhs": "30", "matched": True}
     assert report.render("csv").splitlines()[1] == "5,theta_reindex,30,30,True"
