@@ -126,6 +126,21 @@ def test_dedekind_suite_allows_unbounded_end():
     assert report.ok
 
 
+def test_reports_identical_across_worker_counts():
+    solo = run_suite("chain", 2, 48, workers=1)
+    trio = run_suite("chain", 2, 48, workers=3)
+    for fmt in ("json", "csv", "human"):
+        assert solo.render(fmt) == trio.render(fmt)
+    assert solo.checked == trio.checked == 47
+
+
+def test_spence_reports_identical_across_worker_counts():
+    solo = run_suite("spence", 2, 80, workers=1)
+    quad = run_suite("spence", 2, 80, workers=4)
+    for fmt in ("json", "csv", "human"):
+        assert solo.render(fmt) == quad.render(fmt)
+
+
 def test_pool_has_one_process_per_shard(monkeypatch, in_process_pool):
     monkeypatch.setattr(totdk.verify.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     # 2..61 is ten blocks of six, more than the four CPUs
