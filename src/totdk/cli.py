@@ -34,6 +34,9 @@ from .verify import SUITES, run_suite
 
 #: Brute-force verification ranges stop here unless --allow-slow is passed.
 DEFAULT_RANGE_CAP = 100_000
+#: So do the dedekind suite's naive terms, sum(a * end) over a in the range: this
+#: many are the 800 x 800 grid, which took 58 s on one core of a 2-core Xeon.
+DEFAULT_NAIVE_TERM_CAP = 800 * 801 // 2 * 800
 
 #: eval kind -> (function, argument names); "x" is a rational, the rest integers.
 _EVAL = {
@@ -86,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--allow-slow",
         action="store_true",
-        help=f"lift the default range cap of {DEFAULT_RANGE_CAP}",
+        help=f"lift the default caps: --to {DEFAULT_RANGE_CAP}, and"
+        f" {DEFAULT_NAIVE_TERM_CAP} naive terms for the dedekind suite",
     )
 
     p_bench = sub.add_parser("bench", help="time the naive and fast Dedekind evaluators")
@@ -127,6 +131,13 @@ def _cmd_verify(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
         parser.error(
             f"--to {ns.end} exceeds the cap {DEFAULT_RANGE_CAP}"
             " (pass --allow-slow to raise it)"
+        )
+    # sum(a * end) over the range; run_suite rejects a range with start < 1
+    terms = ns.end * (ns.start + ns.end) * (ns.end - ns.start + 1) // 2 if ns.start >= 1 else 0
+    if ns.suite == "dedekind" and terms > DEFAULT_NAIVE_TERM_CAP and not ns.allow_slow:
+        parser.error(
+            f"--from {ns.start} --to {ns.end} takes {terms} naive Dedekind terms,"
+            f" over the cap {DEFAULT_NAIVE_TERM_CAP} (pass --allow-slow to raise it)"
         )
     t0 = time.perf_counter()
     try:

@@ -6,7 +6,6 @@ for one n by `_suite_failures`:
   spence    the formula itself: brute-force rank-weighted sum vs closed form
   chain     all links of the proof chain (see spence.verify_chain)
   dedekind  fast evaluator vs naive O(a) oracle, for a = n and b = 1..range end
-  all       chain + dedekind
 
 Ranges may be sharded across worker processes.  Blocks of six consecutive n
 are dealt round-robin to the shards, and the shards' failures are merged by a
@@ -43,7 +42,7 @@ from .spence import (
     verify_chain,
 )
 
-SUITES = ("spence", "chain", "dedekind", "all")
+SUITES = ("spence", "chain", "dedekind")
 
 # Shards are dealt blocks of this many consecutive n.  The cost of n varies
 # with n mod 2 and n mod 3 (through phi(n)/n and the squarefree-divisor count),
@@ -110,7 +109,7 @@ class VerificationReport:
 
 def _suite_failures(suite: str, n: int, b_max: int) -> list[IdentityResult]:
     """The checks of `suite` that fail at n, over b = 1..b_max in the dedekind
-    suites.  run_suite rejects an unknown suite before any shard starts, so
+    suite.  run_suite rejects an unknown suite before any shard starts, so
     `suite` is not checked again here."""
     if suite == "spence":
         lhs = sum_j_aj_bruteforce(n)
@@ -121,16 +120,13 @@ def _suite_failures(suite: str, n: int, b_max: int) -> list[IdentityResult]:
         if lhs == rhs:
             return []
         return [IdentityResult(n, "spence_formula", Fraction(lhs), Fraction(rhs), False)]
-    failures = []
-    if suite in ("chain", "all"):
-        failures += [r for r in verify_chain(n) if not r.matched]
-    if suite in ("dedekind", "all"):
-        for b in range(1, b_max + 1):
-            fast, slow = dedekind_fast(b, n), dedekind_naive(b, n)
-            if fast != slow:
-                failures.append(
-                    IdentityResult(n, f"dedekind_fast_vs_naive(b={b})", fast, slow, False)
-                )
+    if suite == "chain":
+        return [r for r in verify_chain(n) if not r.matched]
+    failures = []  # the dedekind suite
+    for b in range(1, b_max + 1):
+        fast, slow = dedekind_fast(b, n), dedekind_naive(b, n)
+        if fast != slow:
+            failures.append(IdentityResult(n, f"dedekind_fast_vs_naive(b={b})", fast, slow, False))
     return failures
 
 
@@ -153,7 +149,7 @@ def run_suite(
 ) -> VerificationReport:
     """Run `suite` over [start, end], sharding across at most `workers` processes.
 
-    The dedekind suites check b = 1..end for every a = n, so a [1, B] run
+    The dedekind suite checks b = 1..end for every a = n, so a [1, B] run
     covers the full B x B fast-vs-naive grid.
     """
     if suite not in SUITES:

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import totdk.bench
 from totdk import NAIVE_BOUND, DomainError
 from totdk.bench import (
     LCG_INCREMENT,
@@ -52,6 +53,14 @@ def test_generate_pairs_rejects_bad_arguments():
     assert len(generate_pairs(3, 2**64, 1)) == 3
     with pytest.raises(DomainError):
         generate_pairs(3, 2**64 + 1, 1)
+
+
+def test_generate_pairs_accepts_the_largest_count(monkeypatch):
+    # 100,000 pairs are accepted and 100,001 refused; a stub draws the states fast
+    monkeypatch.setattr(totdk.bench, "lcg_states", lambda seed: itertools.repeat(0))
+    assert generate_pairs(100_000, 2, 1) == [(1, 1)] * 100_000
+    with pytest.raises(DomainError):
+        generate_pairs(100_001, 2, 1)
 
 
 def test_run_bench_rows():

@@ -17,7 +17,14 @@ import totdk.arith
 import totdk.bench
 import totdk.spence
 import totdk.verify
-from totdk import ENUMERATION_BOUND, NAIVE_BOUND
+from totdk import (
+    ENUMERATION_BOUND,
+    NAIVE_BOUND,
+    DomainError,
+    InvariantViolation,
+    VerificationReport,
+    run_suite,
+)
 from totdk.cli import DEFAULT_RANGE_CAP, EVAL_KINDS, build_parser, main
 
 
@@ -184,9 +191,14 @@ def test_verify_dedekind_suite(capsys):
     assert "checked=12" in out
 
 
-def test_verify_all_suite(capsys):
-    code, _, _ = run_cli(capsys, "verify", "--from", "2", "--to", "12", "--suite", "all")
-    assert code == 0
+def test_verify_has_no_all_suite(capsys):
+    # all ran chain and dedekind together; each still runs as its own suite
+    code, out, err = run_cli(capsys, "verify", "--from", "2", "--to", "3", "--suite", "all")
+    assert (code, out) == (2, "")
+    choices = err.split("choose from")[1]
+    assert all(name in choices for name in ("spence", "chain", "dedekind"))
+    with pytest.raises(DomainError, match="unknown suite"):
+        run_suite("all", 2, 3)
 
 
 def test_verify_reports_identical_across_workers(capsys):
@@ -329,12 +341,12 @@ def test_verify_interrupt_of_the_parent_alone_stops_the_workers():
         proc.wait()
 
 
-def _spence_numerator_off_by_one(monkeypatch):
+def _spence_numerator_off_by(monkeypatch, offset):
     real = totdk.spence._closed_forms
 
     def planted(n):
         primes, m, spence, *rest = real(n)
-        return (primes, m, spence + 1, *rest)
+        return (primes, m, spence + offset, *rest)
 
     monkeypatch.setattr(totdk.spence, "_closed_forms", planted)
     monkeypatch.setattr(totdk.verify, "_closed_forms", planted)
@@ -343,13 +355,27 @@ def _spence_numerator_off_by_one(monkeypatch):
 def test_invariant_violation_exits_4(capsys, monkeypatch):
     # spence_closed_form asserts divisibility by 24; the violation reaches
     # main as itself and ends in the correctness-failure code.
-    _spence_numerator_off_by_one(monkeypatch)
+    _spence_numerator_off_by(monkeypatch, 1)
     code, out, err = run_cli(capsys, "eval", "spence", "5")
     assert code == 4
     assert out == ""
     assert err.startswith("error: closed form for n=")
     assert " not divisible by 24" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("offset", [8, 12])
+def test_a_numerator_off_by_a_proper_factor_of_24_is_caught(capsys, monkeypatch, offset):
+    # 8 and 12 divide 24 but are no multiples of it: integrality is checked mod 24
+    _spence_numerator_off_by(monkeypatch, offset)
+    with pytest.raises(InvariantViolation, match="n=5 not divisible by 24"):
+        totdk.spence.spence_closed_form(5)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "spence", "--from", "4", "--to", "6", "--format", "csv"
+    )
+    assert code == 4
+    assert "Traceback" not in err
+    assert out.splitlines()[2] == f"5,spence_formula,30,{Fraction(30 * 24 + offset, 24)},False"
 
 
 def test_an_empty_totative_array_is_reported_not_raised(capsys, monkeypatch):
@@ -371,7 +397,7 @@ def test_an_empty_totative_array_is_reported_not_raised(capsys, monkeypatch):
 def test_spence_suite_reports_a_non_integral_closed_form(capsys, monkeypatch, workers):
     # The spence suite lists the fault as the chain suite does, one failing
     # spence_formula row per n, in a pool worker too.
-    _spence_numerator_off_by_one(monkeypatch)
+    _spence_numerator_off_by(monkeypatch, 1)
     rows = {}
     for suite in ("spence", "chain"):
         code, out, err = run_cli(
@@ -392,7 +418,7 @@ def test_spence_suite_reports_a_non_integral_closed_form(capsys, monkeypatch, wo
 
 def test_verify_chain_with_a_non_integral_closed_form_exits_4(capsys, monkeypatch):
     # A Spence numerator off by one is no longer divisible by 24: a failing link.
-    _spence_numerator_off_by_one(monkeypatch)
+    _spence_numerator_off_by(monkeypatch, 1)
     code, out, err = run_cli(
         capsys, "verify", "--suite", "chain", "--from", "2", "--to", "30", "--format", "json"
     )
@@ -410,7 +436,7 @@ def test_verify_chain_with_a_non_integral_closed_form_exits_4(capsys, monkeypatc
 def test_verify_writes_one_stderr_summary_in_every_format(capsys, monkeypatch, fmt, planted):
     # wall time is the CLI's alone: one summary line on stderr, never in the report
     if planted:
-        _spence_numerator_off_by_one(monkeypatch)
+        _spence_numerator_off_by(monkeypatch, 1)
     code, out, err = run_cli(
         capsys, "verify", "--suite", "spence", "--from", "2", "--to", "10", "--format", fmt
     )
@@ -467,6 +493,47 @@ def test_verify_range_cap_needs_allow_slow(capsys):
     )
     assert code == 0
     assert "checked=1" in out
+
+
+def _stub_run_suite(monkeypatch):
+    """Record run_suite's calls from the CLI and report each range clean."""
+    calls = []
+
+    def stub(suite, start, end, *, workers):
+        calls.append((suite, start, end))
+        return VerificationReport(suite, start, end, end - start + 1, [])
+
+    monkeypatch.setattr(totdk.cli, "run_suite", stub)
+    return calls
+
+
+def test_verify_range_cap_is_100000(capsys, monkeypatch):
+    calls = _stub_run_suite(monkeypatch)
+    code, _, err = run_cli(capsys, "verify", "--from", "2", "--to", "100001")
+    assert code == 2
+    assert "--to 100001 exceeds the cap 100000" in err
+    code, _, _ = run_cli(capsys, "verify", "--from", "2", "--to", "100000")
+    assert code == 0
+    assert calls == [("spence", 2, 100000)]
+
+
+def test_dedekind_suite_naive_term_cap(capsys, monkeypatch):
+    # 1..800 takes 800 * 801 / 2 * 800 = 256320000 naive terms, exactly the cap;
+    # the other suites run no naive term, so the cap leaves their ranges alone
+    dedekind = ("verify", "--suite", "dedekind", "--from")
+    code, _, err = run_cli(capsys, *dedekind, "-2000", "--to", "-1000")
+    assert code == 2
+    assert "invalid range [-2000, -1000]" in err  # run_suite's message, not the cap's
+    calls = _stub_run_suite(monkeypatch)
+    for end in ("801", "100000"):
+        code, _, err = run_cli(capsys, *dedekind, "1", "--to", end)
+        assert code == 2
+        assert "naive Dedekind terms, over the cap 256320000" in err
+    assert calls == []
+    assert run_cli(capsys, *dedekind, "1", "--to", "800")[0] == 0
+    assert run_cli(capsys, *dedekind, "1", "--to", "801", "--allow-slow")[0] == 0
+    assert run_cli(capsys, "verify", "--suite", "chain", "--from", "2", "--to", "1000")[0] == 0
+    assert calls == [("dedekind", 1, 800), ("dedekind", 1, 801), ("chain", 2, 1000)]
 
 
 @pytest.mark.parametrize(
