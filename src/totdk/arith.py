@@ -1,14 +1,14 @@
 """The distinct primes of n and the arithmetic the identity chain reads from them.
 
 The chain needs no prime exponent, so `distinct_primes` is the package's only
-factorization: it reads the smallest-prime-factor table of the innermost open
+factorization: it reads the smallest-prime-factor table of the open
 `with Sieve(limit):` scope when that covers n and does its own trial division
 otherwise.  `Sieve` is internal: `verify._run_shard` opens one scope per shard.
 From the primes follow the totatives as an int64 array and the square-free
 divisors with their Moebius weights, listed by prime bitmask.
 
 numpy is imported only inside the two builders of arrays, `coprime_residues`
-and `Sieve`, after their bound checks.  Importing this module, calling
+(after its bound check) and `Sieve`.  Importing this module, calling
 `distinct_primes` or `squarefree_divisors_from`, and a call that a bound
 refuses leave numpy unloaded.
 """
@@ -36,9 +36,8 @@ ENUMERATION_BOUND = 2_000_000
 # needs one above 1414.
 _TRIAL_DIVISION_CAP = 10**7
 
-# Tables of the Sieve scopes open in this thread or task, innermost last.  A
-# stack rather than per-Sieve tokens, so one Sieve may be open in two threads.
-_open_tables = contextvars.ContextVar("totdk_open_tables", default=())
+# The table of the Sieve scope open in this thread or task; () when none is.
+_open_table = contextvars.ContextVar("totdk_open_table", default=())
 
 
 def distinct_primes(n: int) -> tuple[int, ...]:
@@ -47,8 +46,8 @@ def distinct_primes(n: int) -> tuple[int, ...]:
     Trial division past _TRIAL_DIVISION_CAP raises ResourceLimitError instead,
     so whether n factors depends on n alone."""
     n = operator.index(n)
-    tables = _open_tables.get()
-    if not tables or not 1 <= n < len(tables[-1]):
+    spf = _open_table.get()
+    if not 1 <= n < len(spf):
         if n < 1:
             raise DomainError(f"requires n >= 1, got {n}")
         primes, p, step = [], 2, 1
@@ -67,7 +66,7 @@ def distinct_primes(n: int) -> tuple[int, ...]:
         if n > 1:
             primes.append(n)
         return tuple(primes)
-    spf, primes = tables[-1], []
+    primes = []
     while n > 1:
         p = spf[n]
         primes.append(p)
@@ -109,16 +108,15 @@ def coprime_residues(n: int) -> np.ndarray:
 
 class Sieve:
     """Smallest-prime-factor table over [0, limit], opened as a scope; the
-    limit is at most ENUMERATION_BOUND, the largest n a sweep enumerates.
+    caller keeps limit <= ENUMERATION_BOUND, which `run_suite` checks first.
 
     Inside `with Sieve(limit):`, `distinct_primes(n)` reads the table in
     O(log n) for 1 <= n <= limit.  Like `decimal.localcontext`, the scope
-    belongs to the current thread or task and closes even if the block raises.
+    belongs to the current thread or task and closes even if the block raises;
+    one Sieve is open in one scope at a time.
     """
 
     def __init__(self, limit: int):
-        if limit > ENUMERATION_BOUND:
-            raise ResourceLimitError(f"sieve bound exceeded: limit={limit} > {ENUMERATION_BOUND}")
         import numpy as np
 
         spf = np.arange(limit + 1)
@@ -128,8 +126,8 @@ class Sieve:
         self._spf = spf.tolist()
 
     def __enter__(self) -> Sieve:
-        _open_tables.set((*_open_tables.get(), self._spf))
+        self._token = _open_table.set(self._spf)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        _open_tables.set(_open_tables.get()[:-1])
+        _open_table.reset(self._token)

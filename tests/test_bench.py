@@ -78,6 +78,13 @@ def test_run_bench_respects_naive_cap():
         run_bench(1, NAIVE_BOUND + 1, 1)
 
 
+def test_run_bench_accepts_max_a_at_the_naive_bound(monkeypatch):
+    # every state draws NAIVE_BOUND, so the one pair is (10**7, 10**7): s = 0 in about 0.7 s
+    monkeypatch.setattr(totdk.bench, "lcg_states", lambda seed: itertools.repeat(NAIVE_BOUND - 1))
+    [row] = run_bench(1, NAIVE_BOUND, 1)
+    assert (row.b, row.a, row.equal) == (NAIVE_BOUND, NAIVE_BOUND, True)
+
+
 def test_depth_ceiling_grows_slowly():
     assert depth_ceiling(1) == 0
     assert depth_ceiling(10**6) < 64

@@ -525,10 +525,11 @@ def test_dedekind_suite_naive_term_cap(capsys, monkeypatch):
     assert code == 2
     assert "invalid range [-2000, -1000]" in err  # run_suite's message, not the cap's
     calls = _stub_run_suite(monkeypatch)
-    for end in ("801", "100000"):
+    for end in ("801", "100000", "100001"):  # past --to 100000, the term cap binds
         code, _, err = run_cli(capsys, *dedekind, "1", "--to", end)
         assert code == 2
         assert "naive Dedekind terms, over the cap 256320000" in err
+        assert "exceeds the cap 100000" not in err
     assert calls == []
     assert run_cli(capsys, *dedekind, "1", "--to", "800")[0] == 0
     assert run_cli(capsys, *dedekind, "1", "--to", "801", "--allow-slow")[0] == 0

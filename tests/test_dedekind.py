@@ -116,6 +116,11 @@ def test_naive_resource_bound():
         dedekind_naive(1, NAIVE_BOUND + 1)
 
 
+def test_naive_accepts_a_at_the_bound():
+    # b = 0 zeroes every term, so the full O(a) loop at a = 10**7 costs about 0.6 s
+    assert dedekind_naive(0, NAIVE_BOUND) == 0
+
+
 # ------------------------------------------------------------------ reciprocity
 
 

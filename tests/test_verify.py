@@ -8,6 +8,7 @@ import math
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +108,19 @@ def test_config_block():
 def test_run_suite_rejects_bad_arguments(suite, start, end):
     with pytest.raises(DomainError):
         run_suite(suite, start, end)
+
+
+@pytest.mark.parametrize("suite", ["spence", "chain"])
+def test_sieve_limit_above_the_enumeration_bound_is_refused_before_allocating(
+    monkeypatch, suite
+):
+    # run_suite is the one check of the end each shard's Sieve(end) is built for
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the table was allocated")
+
+    monkeypatch.setattr(np, "arange", no_allocation)
+    with pytest.raises(DomainError, match=f"{suite} suite's bound {ENUMERATION_BOUND}"):
+        run_suite(suite, 2, ENUMERATION_BOUND + 1)
 
 
 def test_run_suite_accepts_a_range_that_ends_at_the_bound():
