@@ -14,6 +14,7 @@ and maps the library's exceptions to exit codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -48,7 +49,6 @@ _EVAL = {
     "ssum": (s_closed_form, ("n",)),
     "delange": (delange_closed_form, ("n",)),
 }
-EVAL_KINDS = tuple(_EVAL)
 
 
 def _integer(text: str) -> int:
@@ -76,10 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one quantity exactly")
-    p_eval.add_argument("kind", choices=EVAL_KINDS)
-    p_eval.add_argument("args", nargs="*", help="kind-specific arguments")
+    p_eval.set_defaults(handler=_cmd_eval)
+    kinds = p_eval.add_subparsers(dest="kind", required=True)
+    for kind, (_, names) in _EVAL.items():
+        p_kind = kinds.add_parser(kind)
+        for name in names:
+            p_kind.add_argument(name, type=_rational if name == "x" else _integer)
 
     p_verify = sub.add_parser("verify", help="verify identities over a range of n")
+    p_verify.set_defaults(handler=functools.partial(_cmd_verify, p_verify))
     p_verify.add_argument("--from", dest="start", type=_integer, required=True)
     p_verify.add_argument("--to", dest="end", type=_integer, required=True)
     p_verify.add_argument("--suite", choices=SUITES, default="spence")
@@ -95,24 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_bench = sub.add_parser("bench", help="time the naive and fast Dedekind evaluators")
+    p_bench.set_defaults(handler=functools.partial(_cmd_bench, p_bench))
     p_bench.add_argument("--pairs", type=_integer, required=True)
     p_bench.add_argument("--max-a", dest="max_a", type=_integer, required=True)
     p_bench.add_argument("--seed", type=_integer, default=1)
     return parser
 
 
-def _cmd_eval(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
+def _cmd_eval(ns: argparse.Namespace) -> int:
     fn, names = _EVAL[ns.kind]
-    if len(ns.args) != len(names):
-        parser.error(f"eval {ns.kind} takes {len(names)} argument(s), got {len(ns.args)}")
-    args = []
-    for name, text in zip(names, ns.args):
-        try:
-            args.append(_rational(text) if name == "x" else _integer(text))
-        except ValueError:
-            kind = "a rational p/q" if name == "x" else "an integer"
-            parser.error(f"{name} must be {kind}, got {text!r}")
-    value = fn(*args)
+    value = fn(*(getattr(ns, name) for name in names))
     # An exact value may pass CPython's int-to-str digit limit (3.10.7 on):
     # lift it for this one print only, so long arguments stay usage errors.
     if hasattr(sys, "set_int_max_str_digits"):
@@ -173,8 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        commands = {"eval": _cmd_eval, "verify": _cmd_verify, "bench": _cmd_bench}
-        code = commands[ns.command](parser, ns)
+        code = ns.handler(ns)
         sys.stdout.flush()  # here, so that a closed stdout is caught below
         return code
     except SystemExit as exc:  # argparse usage errors

@@ -68,7 +68,10 @@ MUTANTS = (
     ),
     Mutant(VERIFY, "if end > bound:", "if end >= bound:", ("tests/test_verify.py",)),
     Mutant(  # rows of one n keep the chain's link order, not the names' order
-        VERIFY, "key=lambda f: f.n)", "key=lambda f: (f.n, f.identity))", ("tests/test_cli.py",)
+        VERIFY,
+        "key=lambda f: f.n)",
+        "key=lambda f: (f.n, f.identity))",
+        ("tests/test_cli.py", "tests/test_verify.py"),
     ),
     Mutant(
         CLI, "DEFAULT_RANGE_CAP = 100_000", "DEFAULT_RANGE_CAP = 100_001", ("tests/test_cli.py",)
@@ -78,6 +81,19 @@ MUTANTS = (
         'if ns.suite != "dedekind" and ns.end > DEFAULT_RANGE_CAP',
         "if ns.end > DEFAULT_RANGE_CAP",
         ("tests/test_cli.py",),
+    ),
+    Mutant(CLI, "type=_rational", "type=_integer", ("tests/test_cli.py",)),  # eval's x is p/q
+    *(  # the rhs numerator of one link of verify_chain off by one
+        Mutant(SPENCE, row, rhs_plus_one, ("tests/test_chain_reference.py",))
+        for row, rhs_plus_one in (
+            ("(jaj, 1, theta_sum, 1)", "(jaj, 1, theta_sum + 1, 1)"),
+            ("nu_numerator * n, n * m)", "nu_numerator * n + 1, n * m)"),
+            ("(sum_sq, 1, sum_sq6, 6)", "(sum_sq, 1, sum_sq6 + 1, 6)"),
+            ("phi_n * s_den, 4 * s_den)", "phi_n * s_den + 1, 4 * s_den)"),
+            ("(s_num, s_den, s24, 24)", "(s_num, s_den, s24 + 1, 24)"),
+            ("(delange_num, n * n, delange_n, n)", "(delange_num, n * n, delange_n + 1, n)"),
+            ("(jaj, 1, spence24, 24)", "(jaj, 1, spence24 + 1, 24)"),
+        )
     ),
     Mutant(SPENCE, "if numerator % 24:", "if numerator % 8:", ("tests/test_cli.py",)),
     Mutant(  # equal values; only the unused-private-name test sees _BLOCK_ELEMENTS go

@@ -25,7 +25,7 @@ from totdk import (
     VerificationReport,
     run_suite,
 )
-from totdk.cli import DEFAULT_RANGE_CAP, EVAL_KINDS, build_parser, main
+from totdk.cli import _EVAL, DEFAULT_RANGE_CAP, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -63,7 +63,30 @@ def test_eval_prints_exact_value(capsys, argv, expected):
 
 
 def test_eval_kind_list():
-    assert EVAL_KINDS == ("spence", "dedekind", "theta", "nu", "ssum", "delange")
+    assert tuple(_EVAL) == ("spence", "dedekind", "theta", "nu", "ssum", "delange")
+
+
+@pytest.mark.parametrize("kind", list(_EVAL))
+def test_eval_kind_help_names_its_arguments(capsys, kind):
+    code, out, _ = run_cli(capsys, "eval", kind, "-h")
+    names = _EVAL[kind][1]
+    assert code == 0
+    assert out.startswith(f"usage: totdk eval {kind} [-h] {' '.join(names)}\n")
+    assert all(f"\n  {name}\n" in out for name in names)
+
+
+@pytest.mark.parametrize(
+    "argv,usage",
+    [
+        (("eval", "dedekind", "3"), "totdk eval dedekind [-h] b a"),  # wrong arity
+        (("eval", "theta", "6", "abc"), "totdk eval theta [-h] n x"),  # wrong type
+    ],
+    ids=["arity", "type"],
+)
+def test_eval_usage_error_names_the_kind(capsys, argv, usage):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: {usage}\n")
 
 
 @pytest.mark.parametrize(
@@ -473,6 +496,22 @@ def test_closed_stdout_exits_141_quietly(argv):
     assert proc.returncode == 141
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--from", "2", "--to", "10", "--workers", "0"),  # run_suite's DomainError
+        ("verify", "--from", "2", "--to", str(DEFAULT_RANGE_CAP + 1)),  # the range cap
+        ("verify", "--suite", "dedekind", "--from", "1", "--to", "801"),  # the naive-term cap
+        ("bench", "--pairs", "2", "--max-a", str(NAIVE_BOUND + 1)),  # run_bench's DomainError
+    ],
+)
+def test_usage_errors_after_parsing_print_the_subcommand_usage(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: totdk {argv[0]} [-h] --")
+    assert f"\ntotdk {argv[0]}: error: " in err
 
 
 def test_verify_range_cap_needs_allow_slow(capsys):

@@ -362,6 +362,18 @@ def test_spence_suite_reports_a_planted_closed_form_fault(monkeypatch):
     assert all(type(f.lhs) is type(f.rhs) is Fraction for f in report.failures)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_failing_links_of_one_n_keep_the_chain_order(monkeypatch, workers):
+    # S(n) + 1/12 breaks the two links that read S(n); the report lists them in
+    # CHAIN_IDENTITIES order, which sorting by name would reverse.
+    real = totdk.spence.s_double_sum
+    monkeypatch.setattr(totdk.spence, "s_double_sum", lambda n: real(n) + Fraction(1, 12))
+    report = run_suite("chain", 2, 30, workers=workers)
+    assert [(f.n, f.identity) for f in report.failures] == [
+        (n, link) for n in range(2, 31) for link in ("nu_weighted_sum", "dedekind_double_sum")
+    ]
+
+
 @pytest.mark.parametrize("suite,start", [("dedekind", 1)])
 @pytest.mark.parametrize("workers", [1, 3])
 def test_dedekind_suites_report_a_planted_naive_fault(monkeypatch, suite, start, workers):
