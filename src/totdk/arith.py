@@ -7,10 +7,14 @@ otherwise.  `Sieve` is internal: `verify._run_shard` opens one scope per shard.
 From the primes follow the totatives as an int64 array and the square-free
 divisors with their Moebius weights, listed by prime bitmask.
 
-numpy is imported only inside the two builders of arrays, `coprime_residues`
-(after its bound check) and `Sieve`.  Importing this module, calling
-`distinct_primes` or `squarefree_divisors_from`, and a call that a bound
-refuses leave numpy unloaded.
+This is the package's one numpy module.  Every sum over the totatives is
+taken here, by the residue kernels, in int64 arithmetic that the bound of
+`coprime_residues` keeps exact (see ENUMERATION_BOUND); `totdk.spence` passes
+them the array and reads back Python ints.  numpy is imported only inside the
+functions that build arrays: `coprime_residues` (after its bound check),
+`Sieve`, the rank vector's first build and the theta/nu divmod.  Importing
+this module, calling `distinct_primes` or `squarefree_divisors_from`, and a
+call that a bound refuses leave numpy unloaded.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 #: Largest n for which totatives are enumerated brute force.  The cap doubles
-#: as an exactness guarantee for the vectorized int64 reductions used by the
-#: bulk verifiers: every dot product taken over the residues of n is a sum of
-#: fewer than n terms, each below n**2, so it stays under 2**63 whenever
-#: n <= 2_000_000.  It is therefore a constant, not a per-call argument.
+#: as the exactness guarantee of the residue kernels below: every dot product
+#: they take over the totatives of n is a sum of fewer than n terms, each below
+#: n**2, so it stays under n**3 <= 8 * 10**18 < 2**63.  It is therefore a
+#: constant, not a per-call argument.
 ENUMERATION_BOUND = 2_000_000
 
 # Largest trial divisor, so that every factorization ends; no n <= ENUMERATION_BOUND
@@ -104,6 +108,67 @@ def coprime_residues(n: int) -> np.ndarray:
     for p in distinct_primes(n):
         mask[p::p] = False
     return np.flatnonzero(mask).astype(np.int64, copy=False)
+
+
+# Residue kernels: the sums over coprime_residues' array that totdk.spence reads.
+
+# Read-only ranks 1, 2, 3, ... shared by every _sum_j_aj call.  A fresh arange
+# per n, next to coprime_residues' own arrays, page-faults at large phi(n):
+# about 20 minor faults per n for n near 30000, none with the shared vector.
+# It is None until the first call builds it, so that importing this module
+# loads no numpy; from then on it is an int64 vector, and even an empty
+# residue array gets the int 0 from an int64 product.  The vector only grows,
+# by doubling, and is swapped in one assignment, so a thread that read the
+# old one still holds a valid vector.
+_ranks = None
+
+
+def _sum_j_aj(residues: np.ndarray) -> int:
+    global _ranks
+    length = len(residues)
+    ranks = _ranks
+    if ranks is None or len(ranks) < length:
+        import numpy as np
+
+        size = 1 << (length - 1).bit_length()
+        ranks = np.arange(1, size + 1, dtype=np.int64)
+        ranks.flags.writeable = False
+        _ranks = ranks
+    return int(ranks[:length] @ residues)
+
+
+# Elements of one divmod block in _theta_nu_sums, which holds
+# max(1, _BLOCK_ELEMENTS // phi(n)) divisor rows: a small n takes all of its
+# rows in one numpy call; once phi(n) > _BLOCK_ELEMENTS a block is one row,
+# the size a per-divisor loop would use.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _theta_nu_sums(residues: np.ndarray, pairs: list[tuple[int, int]], m: int) -> tuple[int, int]:
+    """(sum(theta(n, a) * a), m * sum(nu(n, a) * a)) over U(n), m = radical(n),
+    from the square-free divisors of n with their Moebius weights, `pairs`.
+
+    floor(a/d) and a mod d come from one divmod over a block of divisor rows,
+    then two int64 mat-vec products; the Moebius weights, and m/d, which puts
+    frac(a/d) = (a mod d)/d over the common denominator m, apply in Python ints.
+    """
+    import numpy as np
+
+    ds = np.array([d for d, _ in pairs], dtype=np.int64)
+    rows = max(1, _BLOCK_ELEMENTS // max(len(residues), 1))
+    theta_weighted = nu_numerator = 0
+    for lo in range(0, len(pairs), rows):
+        floors, rems = np.divmod(residues, ds[lo : lo + rows, None])
+        for (d, mu), f, r in zip(
+            pairs[lo : lo + rows], (floors @ residues).tolist(), (rems @ residues).tolist()
+        ):
+            theta_weighted += mu * f
+            nu_numerator += mu * (m // d) * r
+    return theta_weighted, nu_numerator
+
+
+def _sum_squares(residues: np.ndarray) -> int:
+    return int(residues @ residues)
 
 
 class Sieve:

@@ -25,13 +25,7 @@ from fractions import Fraction
 from .bench import format_table, run_bench
 from .dedekind import dedekind_fast
 from .errors import DomainError, InvariantViolation, ResourceLimitError
-from .spence import (
-    delange_closed_form,
-    nu,
-    s_closed_form,
-    spence_closed_form,
-    theta,
-)
+from .spence import delange_closed_form, nu, s_closed_form, spence_closed_form, theta
 from .verify import SUITES, run_suite
 
 #: The spence and chain suites' --to stops here unless --allow-slow is passed.
@@ -52,17 +46,23 @@ _EVAL = {
 
 
 def _integer(text: str) -> int:
-    """Every integer argument: ASCII decimal digits, [+-]?[0-9]+ after strip()."""
+    """Every integer argument: ASCII decimal digits, [+-]?[0-9]+ after strip(),
+    within CPython's int-from-str digit limit."""
     if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer, [+-]?[0-9]+")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"over {sys.get_int_max_str_digits()} digits") from None
 
 
 def _rational(text: str) -> Fraction:
-    """eval's x, "p/q" or an integer: [+-]?[0-9]+(/[0-9]+)? after strip(), q != 0."""
+    """eval's x, "p/q" or an integer: [+-]?[0-9]+(/[0-9]+)? after strip(), q != 0;
+    p and q are read as integers."""
     if not re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", text.strip()):
-        raise ValueError(f"not a rational: {text!r}")
-    return Fraction(text)
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer or p/q with q != 0")
+    p, _, q = text.partition("/")
+    return Fraction(_integer(p), _integer(q or "1"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,10 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one quantity exactly")
     p_eval.set_defaults(handler=_cmd_eval)
     kinds = p_eval.add_subparsers(dest="kind", required=True)
-    for kind, (_, names) in _EVAL.items():
-        p_kind = kinds.add_parser(kind)
+    for kind, (fn, names) in _EVAL.items():
+        p_kind = kinds.add_parser(kind, help=fn.__doc__.splitlines()[0])
         for name in names:
-            p_kind.add_argument(name, type=_rational if name == "x" else _integer)
+            parse, form = (_rational, "integer or p/q") if name == "x" else (_integer, "integer")
+            p_kind.add_argument(name, type=parse, help=form)
 
     p_verify = sub.add_parser("verify", help="verify identities over a range of n")
     p_verify.set_defaults(handler=functools.partial(_cmd_verify, p_verify))
@@ -110,17 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(ns: argparse.Namespace) -> int:
     fn, names = _EVAL[ns.kind]
     value = fn(*(getattr(ns, name) for name in names))
-    # An exact value may pass CPython's int-to-str digit limit (3.10.7 on):
-    # lift it for this one print only, so long arguments stay usage errors.
-    if hasattr(sys, "set_int_max_str_digits"):
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            print(value)
-        finally:
-            sys.set_int_max_str_digits(limit)
-    else:
+    # An exact value may pass CPython's int-to-str digit limit: lift it for
+    # this one print only, so long arguments stay usage errors.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
         print(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

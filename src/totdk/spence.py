@@ -5,6 +5,9 @@ a_phi(n) are the totatives of n.  Its proof decomposes into a short chain
 of exact identities; this module computes both sides of every link — a
 brute-force side that enumerates the totative set and a closed-form or
 Dedekind-sum side — so the chain is machine-checkable up to ENUMERATION_BOUND.
+The brute-force sums over the totatives come from the residue kernels of
+totdk.arith, which return Python ints; this module computes in ints and
+Fractions alone.
 
 The auxiliary functions are the Moebius-weighted floor and fractional-part
 sums over the divisors of n:
@@ -33,15 +36,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import TYPE_CHECKING
 
+from .arith import _sum_j_aj, _sum_squares, _theta_nu_sums
 from .arith import coprime_residues, distinct_primes, squarefree_divisors_from
 # dedekind_fast is not called here; perfbench/tracing.py wraps this module's name.
 from .dedekind import _closed_form, dedekind_fast  # noqa: F401
 from .errors import DomainError, InvariantViolation
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Stable tags for the links checked by verify_chain, in the order computed.
 CHAIN_IDENTITIES = (
@@ -94,65 +94,6 @@ def nu(n: int, x: Fraction | int) -> Fraction:
     """Moebius-weighted fractional-part sum; theta + nu = x * phi(n) / n."""
     x = _fraction(x)
     return sum(mu * (x / d % 1) for d, mu in squarefree_divisors_from(distinct_primes(n)))
-
-
-# Residue kernels: exact int64 reductions over the ascending totatives of n.
-# coprime_residues refuses n > ENUMERATION_BOUND, which keeps them exact: each
-# dot product below sums fewer than n terms, each below n**2.
-
-# Read-only ranks 1, 2, 3, ... shared by every _sum_j_aj call.  A fresh arange
-# per n, next to coprime_residues' own arrays, page-faults at large phi(n):
-# about 20 minor faults per n for n near 30000, none with the shared vector.
-# It is None until the first call builds it, so that importing this module
-# loads no numpy; from then on it is an int64 vector, and even an empty
-# residue array gets the int 0 from an int64 product.  The vector only grows,
-# by doubling, and is swapped in one assignment, so a thread that read the
-# old one still holds a valid vector.
-_ranks = None
-
-
-def _sum_j_aj(residues: np.ndarray) -> int:
-    global _ranks
-    length = len(residues)
-    ranks = _ranks
-    if ranks is None or len(ranks) < length:
-        import numpy as np
-
-        size = 1 << (length - 1).bit_length()
-        ranks = np.arange(1, size + 1, dtype=np.int64)
-        ranks.flags.writeable = False
-        _ranks = ranks
-    return int(ranks[:length] @ residues)
-
-
-# Elements of one divmod block in _theta_nu_sums, which holds
-# max(1, _BLOCK_ELEMENTS // phi(n)) divisor rows: a small n takes all of its
-# rows in one numpy call; once phi(n) > _BLOCK_ELEMENTS a block is one row,
-# the size a per-divisor loop would use.
-_BLOCK_ELEMENTS = 1 << 16
-
-
-def _theta_nu_sums(residues: np.ndarray, pairs: list[tuple[int, int]], m: int) -> tuple[int, int]:
-    """(sum(theta(n, a) * a), m * sum(nu(n, a) * a)) over U(n), m = radical(n),
-    from the square-free divisors of n with their Moebius weights, `pairs`.
-
-    floor(a/d) and a mod d come from one divmod over a block of divisor rows,
-    then two int64 mat-vec products; the Moebius weights, and m/d, which puts
-    frac(a/d) = (a mod d)/d over the common denominator m, apply in Python ints.
-    """
-    import numpy as np
-
-    ds = np.array([d for d, _ in pairs], dtype=np.int64)
-    rows = max(1, _BLOCK_ELEMENTS // max(len(residues), 1))
-    theta_weighted = nu_numerator = 0
-    for lo in range(0, len(pairs), rows):
-        floors, rems = np.divmod(residues, ds[lo : lo + rows, None])
-        for (d, mu), f, r in zip(
-            pairs[lo : lo + rows], (floors @ residues).tolist(), (rems @ residues).tolist()
-        ):
-            theta_weighted += mu * f
-            nu_numerator += mu * (m // d) * r
-    return theta_weighted, nu_numerator
 
 
 def sum_j_aj_bruteforce(n: int) -> int:
@@ -239,8 +180,10 @@ def s_closed_form(n: int) -> Fraction:
 
 
 def delange_closed_form(n: int) -> Fraction:
-    """Delange's closed form 2^omega(n) * phi(n) / n for the gcd double sum
-    sum(mu(d1) mu(d2) * d1*d2/n^2 * gcd(n/d1, n/d2)^2) over divisor pairs of n."""
+    """Delange's closed form 2^omega(n) * phi(n) / n of the gcd double sum.
+
+    The double sum is sum(mu(d1) mu(d2) * d1*d2/n^2 * gcd(n/d1, n/d2)^2)
+    over the divisor pairs of n."""
     n = operator.index(n)
     return Fraction(_closed_forms(n)[5], n)
 
@@ -273,7 +216,7 @@ def verify_chain(n: int) -> list[IdentityResult]:
     # denominator) in integers and matches when the cross products agree.
     jaj = _sum_j_aj(residues)
     theta_sum, nu_numerator = _theta_nu_sums(residues, pairs, m)
-    sum_sq = int(residues @ residues)
+    sum_sq = _sum_squares(residues)
     s_num, s_den = s_double_sum(n).as_integer_ratio()
     # The Delange summand is symmetric in (d1, d2): twice the unordered pairs
     # d1 != d2, plus the diagonal, with weights mu(d) * d and mu(d)^2 = 1.

@@ -58,6 +58,12 @@ MUTANTS = (
     Mutant(
         ARITH, "_open_table.reset(self._token)", "_open_table.set(())", ("tests/test_arith.py",)
     ),
+    Mutant(  # a writable shared rank vector
+        ARITH,
+        "ranks.flags.writeable = False",
+        "ranks.flags.writeable = True",
+        ("tests/test_arith.py",),
+    ),
     Mutant(DEDEKIND, "if a > NAIVE_BOUND:", "if a >= NAIVE_BOUND:", ("tests/test_dedekind.py",)),
     Mutant(BENCH, "if max_a > NAIVE_BOUND:", "if max_a >= NAIVE_BOUND:", ("tests/test_bench.py",)),
     Mutant(
@@ -82,7 +88,9 @@ MUTANTS = (
         "if ns.end > DEFAULT_RANGE_CAP",
         ("tests/test_cli.py",),
     ),
-    Mutant(CLI, "type=_rational", "type=_integer", ("tests/test_cli.py",)),  # eval's x is p/q
+    Mutant(  # eval's x is p/q
+        CLI, '(_rational, "integer or p/q")', '(_integer, "integer or p/q")', ("tests/test_cli.py",)
+    ),
     *(  # the rhs numerator of one link of verify_chain off by one
         Mutant(SPENCE, row, rhs_plus_one, ("tests/test_chain_reference.py",))
         for row, rhs_plus_one in (
@@ -97,7 +105,7 @@ MUTANTS = (
     ),
     Mutant(SPENCE, "if numerator % 24:", "if numerator % 8:", ("tests/test_cli.py",)),
     Mutant(  # equal values; only the unused-private-name test sees _BLOCK_ELEMENTS go
-        SPENCE,
+        ARITH,
         "rows = max(1, _BLOCK_ELEMENTS // max(len(residues), 1))",
         "rows = 1",
         ("tests/test_package.py",),

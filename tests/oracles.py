@@ -16,9 +16,9 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from totdk.arith import coprime_residues, distinct_primes, squarefree_divisors_from
+from totdk.arith import _theta_nu_sums, coprime_residues, distinct_primes, squarefree_divisors_from
 from totdk.errors import DomainError
-from totdk.spence import _require_n_ge_2, _theta_nu_sums
+from totdk.spence import _require_n_ge_2
 
 # ------------------------------------------------------------------ arithmetic
 

@@ -1,5 +1,7 @@
-"""Integer arithmetic layer: distinct primes, multiplicative functions, totatives."""
+"""Integer arithmetic layer: distinct primes, multiplicative functions, totatives
+and the int64 residue kernels over them."""
 
+import itertools
 import math
 import threading
 
@@ -15,9 +17,10 @@ from totdk import (
     ResourceLimitError,
     coprime_residues,
     distinct_primes,
+    spence_closed_form,
 )
 import totdk.arith
-from totdk.arith import Sieve, squarefree_divisors_from
+from totdk.arith import Sieve, _sum_j_aj, squarefree_divisors_from
 
 small_n = st.integers(min_value=1, max_value=50_000)
 
@@ -232,6 +235,56 @@ def test_enumeration_bound_is_enforced():
     top = coprime_residues(ENUMERATION_BOUND)
     assert len(top) == totient(ENUMERATION_BOUND)
     assert top[-1] == ENUMERATION_BOUND - 1
+
+
+# ---------------------------------------------------------- shared rank vector
+
+
+@pytest.fixture
+def fresh_ranks(monkeypatch):
+    """Put the shared rank vector back to its unbuilt start, so the test sees
+    it grow from nothing."""
+
+    def reset():
+        monkeypatch.setattr(totdk.arith, "_ranks", None)
+
+    reset()
+    return reset
+
+
+def test_rank_vector_is_read_only(fresh_ranks):
+    assert _sum_j_aj(coprime_residues(1000)) == spence_closed_form(1000)
+    ranks = totdk.arith._ranks
+    assert len(ranks) >= totient(1000)
+    with pytest.raises(ValueError):
+        ranks[0] = 7
+    with pytest.raises(ValueError):
+        ranks[:10] += 1
+    assert ranks[:3].tolist() == [1, 2, 3]
+
+
+@pytest.mark.parametrize("built", [0, 1, 5])
+def test_empty_residues_sum_to_the_int_zero(fresh_ranks, built):
+    # whether the vector is unbuilt, one rank long or longer, an empty array
+    # takes an int64 product, never a float one
+    if built:
+        _sum_j_aj(np.arange(1, built + 1, dtype=np.int64))
+    total = _sum_j_aj(np.empty(0, dtype=np.int64))
+    assert type(total) is int and total == 0
+    assert totdk.arith._ranks.dtype == np.int64
+
+
+def test_sum_j_aj_exact_around_each_doubling_point(fresh_ranks):
+    points = [2**k for k in range(1, 21)] + [ENUMERATION_BOUND]
+    lengths = sorted({1, 2, 3} | {p + d for p in points for d in (-1, 0, 1)})
+    # values below 2**20 keep sum(j * a_j) under 2**63 up to length 2**21
+    values = np.random.default_rng(6).integers(0, 2**20, lengths[-1], dtype=np.int64)
+    running = list(itertools.accumulate(j * a for j, a in enumerate(values.tolist(), 1)))
+    for length in lengths:  # the vector grows at each doubling point
+        assert _sum_j_aj(values[:length]) == running[length - 1]
+        assert len(totdk.arith._ranks) >= length
+    for length in reversed(lengths):  # prefix views of the grown vector
+        assert _sum_j_aj(values[:length]) == running[length - 1]
 
 
 # ---------------------------------------------------------------------- sieve

@@ -124,7 +124,7 @@ def test_planted_residue_fault_fails_where_the_reference_fails(monkeypatch):
 def test_chain_equals_reference_at_any_block_size(monkeypatch, cap):
     # 1 gives one divisor row per block, 7 and 150 cut blocks of several rows
     # with a partial last block (150 // phi(210) = 3 rows of 16 divisors)
-    monkeypatch.setattr(totdk.spence, "_BLOCK_ELEMENTS", cap)
+    monkeypatch.setattr(totdk.arith, "_BLOCK_ELEMENTS", cap)
     for n in range(2, 401):
         assert all(r.matched for r in assert_same_chain(n))
 

@@ -69,10 +69,17 @@ def test_eval_kind_list():
 @pytest.mark.parametrize("kind", list(_EVAL))
 def test_eval_kind_help_names_its_arguments(capsys, kind):
     code, out, _ = run_cli(capsys, "eval", kind, "-h")
-    names = _EVAL[kind][1]
+    fn, names = _EVAL[kind]
     assert code == 0
     assert out.startswith(f"usage: totdk eval {kind} [-h] {' '.join(names)}\n")
-    assert all(f"\n  {name}\n" in out for name in names)
+    for name in names:  # each argument's help is its type
+        form = "integer or p/q" if name == "x" else "integer"
+        assert re.search(rf"\n  {name} +{re.escape(form)}\n", out), name
+    # `eval -h` describes the kind by the first line of its function's
+    # docstring, which argparse may wrap at any space
+    code, out, _ = run_cli(capsys, "eval", "-h")
+    assert code == 0
+    assert "".join(fn.__doc__.splitlines()[0].split()) in "".join(out.split())
 
 
 @pytest.mark.parametrize(
@@ -117,6 +124,24 @@ def test_usage_errors_exit_2(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,form",
+    [
+        (("verify", "--from", "x", "--to", "5"), "'x' is not an integer, [+-]?[0-9]+"),
+        (("eval", "theta", "6", "abc"), "'abc' is not an integer or p/q with q != 0"),
+        (("eval", "spence", "five"), "'five' is not an integer, [+-]?[0-9]+"),
+        (("eval", "spence", "1" + "0" * 4300), "over 4300 digits"),
+        (("eval", "theta", "6", "1/1" + "0" * 4300), "over 4300 digits"),
+    ],
+    ids=["integer-option", "rational", "integer", "long-integer", "long-rational"],
+)
+def test_type_errors_name_the_grammar_not_a_private_function(capsys, argv, form):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": {form}\n")
+    assert "_integer" not in err and "_rational" not in err
+
+
 def test_eval_domain_errors_exit_3(capsys):
     code, _, err = run_cli(capsys, "eval", "spence", "1")
     assert code == 3
@@ -144,9 +169,7 @@ def test_eval_n_below_1_error_names_no_internal_function(capsys, argv):
 
 
 def _unlimited_str(value) -> str:
-    """str(value) past CPython's int-to-str digit limit, where it has one."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return str(value)
+    """str(value) past CPython's int-to-str digit limit."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -164,12 +187,11 @@ def _unlimited_str(value) -> str:
     ],
 )
 def test_eval_prints_values_past_the_int_digit_limit(capsys, kind, fn, args):
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    limit = sys.get_int_max_str_digits()
     code, out, err = run_cli(capsys, "eval", kind, *map(str, args))
     assert (code, err) == (0, "")
     assert out == _unlimited_str(fn(*args)) + "\n"
-    if limit is not None:  # lifted for the print only
-        assert sys.get_int_max_str_digits() == limit
+    assert sys.get_int_max_str_digits() == limit  # lifted for the print only
 
 
 # --------------------------------------------------------------------- verify

@@ -1,8 +1,9 @@
 """Which calls load numpy, seen from fresh interpreters.
 
-Only the functions that build int64 arrays import numpy: the totatives, the
-shard's sieve table and the spence kernels.  The Dedekind sums, `eval`,
-`bench` and the dedekind suite run without it.  The test process has numpy
+Only the functions of `totdk.arith` that build int64 arrays import numpy: the
+totatives, the shard's sieve table and the residue kernels that sum over the
+totatives.  The Dedekind sums, `eval`, `bench` and the dedekind suite run
+without it.  The test process has numpy
 loaded already, so each check starts its own interpreter.
 """
 

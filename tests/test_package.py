@@ -144,8 +144,37 @@ def test_enumeration_bound_is_read_only_by_arith_and_verify():
     assert readers == {"arith", "verify"}
 
 
+def _names_numpy(tree: ast.AST) -> bool:
+    """Whether a module imports numpy, under any alias, or reads the name np."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "numpy" for m in modules):
+            return True
+        if isinstance(node, ast.Name) and node.id == "np":
+            return True
+    return False
+
+
+def test_only_arith_imports_numpy():
+    # arith holds every int64 array, the kernels that sum over them and the
+    # argument that keeps those sums exact; the other modules compute on
+    # Python ints, so a type-checking-only numpy import counts as well.
+    package = Path(totdk.__file__).parent
+    users = {
+        path.stem
+        for path in package.glob("*.py")
+        if _names_numpy(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert users == {"arith"}
+
+
 def test_sources_parse_as_the_oldest_supported_python():
-    # pyproject.toml declares requires-python >= 3.10; newer syntax would fail only there.
+    # pyproject.toml declares requires-python >= 3.10.7; newer syntax would fail only there.
     for path in sorted(Path(totdk.__file__).parent.glob("*.py")):
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 

@@ -1,6 +1,7 @@
 """Exact rationals: floor and fractional part as theta(1, x) and nu(1, x); the p/q
 text that reports render with str() and that `totdk eval` parses and prints."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -95,7 +96,7 @@ def test_parse_rejects_garbage():
     garbage = ["one half", "1/0", "1/00", "0.5", "1e3", "1_000", "1/-2", "1/2/3", "", "/2", "inf"]
     garbage.append("\u0663")  # ASCII digits alone: not the Arabic-Indic 3
     for text in garbage:
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError):
             _rational(text)
         assert main(["eval", "nu", "1", "--", text]) == 2, text
 

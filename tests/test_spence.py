@@ -1,14 +1,12 @@
 """Every identity of the proof chain: brute-force twin vs closed form."""
 
 import contextlib
-import itertools
 import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,9 +39,10 @@ from totdk import (
     theta,
     verify_chain,
 )
+import totdk.arith
 import totdk.spence
 from totdk.arith import Sieve, distinct_primes
-from totdk.spence import _closed_forms, _sum_j_aj
+from totdk.spence import _closed_forms
 
 
 def sum_squares_totatives(n):
@@ -210,63 +209,16 @@ def test_bruteforce_exact_at_top_of_enumeration_range(n):
     assert sum_squares_totatives_bruteforce(n) == sum_squares_totatives(n)
 
 
-# ---------------------------------------------------------- shared rank vector
-
-
-@pytest.fixture
-def fresh_ranks(monkeypatch):
-    """Put the shared rank vector back to its unbuilt start, so the test sees
-    it grow from nothing."""
-
-    def reset():
-        monkeypatch.setattr(totdk.spence, "_ranks", None)
-
-    reset()
-    return reset
-
-
-def test_rank_vector_is_read_only(fresh_ranks):
-    assert sum_j_aj_bruteforce(1000) == spence_closed_form(1000)
-    ranks = totdk.spence._ranks
-    assert len(ranks) >= totient(1000)
-    with pytest.raises(ValueError):
-        ranks[0] = 7
-    with pytest.raises(ValueError):
-        ranks[:10] += 1
-    assert ranks[:3].tolist() == [1, 2, 3]
-
-
-@pytest.mark.parametrize("built", [0, 1, 5])
-def test_empty_residues_sum_to_the_int_zero(fresh_ranks, built):
-    # whether the vector is unbuilt, one rank long or longer, an empty array
-    # takes an int64 product, never a float one
-    if built:
-        _sum_j_aj(np.arange(1, built + 1, dtype=np.int64))
-    total = _sum_j_aj(np.empty(0, dtype=np.int64))
-    assert type(total) is int and total == 0
-    assert totdk.spence._ranks.dtype == np.int64
-
-
-def test_sum_j_aj_exact_around_each_doubling_point(fresh_ranks):
-    points = [2**k for k in range(1, 21)] + [ENUMERATION_BOUND]
-    lengths = sorted({1, 2, 3} | {p + d for p in points for d in (-1, 0, 1)})
-    # values below 2**20 keep sum(j * a_j) under 2**63 up to length 2**21
-    values = np.random.default_rng(6).integers(0, 2**20, lengths[-1], dtype=np.int64)
-    running = list(itertools.accumulate(j * a for j, a in enumerate(values.tolist(), 1)))
-    for length in lengths:  # the vector grows at each doubling point
-        assert _sum_j_aj(values[:length]) == running[length - 1]
-        assert len(totdk.spence._ranks) >= length
-    for length in reversed(lengths):  # prefix views of the grown vector
-        assert _sum_j_aj(values[:length]) == running[length - 1]
-
-
-def test_bruteforce_equals_closed_form_in_any_order_and_in_threads(fresh_ranks):
+def test_bruteforce_equals_closed_form_in_any_order_and_in_threads(monkeypatch):
+    # totdk.arith's shared rank vector grows from nothing on each pass
+    monkeypatch.setattr(totdk.arith, "_ranks", None)
     ns = range(2, 3001)
     expected = [spence_closed_form(n) for n in ns]
     assert [sum_j_aj_bruteforce(n) for n in ns] == expected
     assert [sum_j_aj_bruteforce(n) for n in reversed(ns)] == expected[::-1]
 
-    fresh_ranks()  # both threads grow the vector, one step by step, one at once
+    # both threads grow the vector, one step by step, one at once
+    monkeypatch.setattr(totdk.arith, "_ranks", None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
