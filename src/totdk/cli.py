@@ -19,7 +19,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from .bench import format_table, run_bench
@@ -140,9 +139,6 @@ def _cmd_verify(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
         report = run_suite(ns.suite, ns.start, ns.end, workers=ns.workers)
     except DomainError as exc:
         parser.error(str(exc))
-    except BrokenProcessPool as exc:
-        print(f"error: worker process died: {exc}", file=sys.stderr)
-        return 3
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     sys.stdout.write(report.render(ns.fmt))
     print(

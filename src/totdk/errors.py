@@ -6,7 +6,8 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A brute-force computation would exceed its fixed size bound."""
+    """A brute-force computation would exceed its fixed size bound, or a worker
+    process of a sharded run died."""
 
 
 class InvariantViolation(RuntimeError):

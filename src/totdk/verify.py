@@ -16,6 +16,12 @@ and the failures, never timing: all three are byte-identical for any worker
 count, and wall-clock time goes to the CLI's stderr summary.
 `_run_shard` opens the package's one `with Sieve(end):` scope, once per shard
 that factorizes.
+
+A one-shard run checks its range in this process and never imports
+`multiprocessing` or `concurrent.futures`; only a run of more than one shard
+loads them and forks a pool.  A pool worker that dies raises
+`ResourceLimitError("worker process died: ...")`, after the other workers
+are stopped.
 """
 
 from __future__ import annotations
@@ -24,16 +30,14 @@ import contextlib
 import csv
 import io
 import json
-import multiprocessing
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import ENUMERATION_BOUND, Sieve
 from .dedekind import NAIVE_BOUND, dedekind_fast, dedekind_naive
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, ResourceLimitError
 from .spence import (
     IdentityResult,
     _closed_forms,
@@ -171,6 +175,11 @@ def run_suite(
     if shards == 1:
         outcomes = [_run_shard(jobs[0])]
     else:
+        # Imported here, so that a one-shard run never loads the pool's modules.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         older = set(multiprocessing.active_children())
         # Fork starts all max_workers on the first submit, so never more than the
         # CPUs this process may run on (its affinity, not the host's count).
@@ -181,7 +190,7 @@ def run_suite(
         with ProcessPoolExecutor(max_workers=min(shards, cpus)) as pool:
             try:
                 outcomes = list(pool.map(_run_shard, jobs))
-            except BaseException:
+            except BaseException as exc:
                 # Leaving the block would wait for every running shard, even on
                 # Ctrl-C: stop the pool's workers, then drop the queued shards.
                 # Waiting joins the pool's manager thread, which would otherwise
@@ -189,6 +198,8 @@ def run_suite(
                 for worker in set(multiprocessing.active_children()) - older:
                     worker.terminate()
                 pool.shutdown(wait=True, cancel_futures=True)
+                if isinstance(exc, BrokenProcessPool):
+                    raise ResourceLimitError(f"worker process died: {exc}") from exc
                 raise
 
     checked = sum(c for c, _ in outcomes)

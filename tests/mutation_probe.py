@@ -73,6 +73,9 @@ MUTANTS = (
         BENCH, "depth, lo, hi = 0, 1, 2", "depth, lo, hi = 0, 2, 3", ("tests/test_bench.py",)
     ),
     Mutant(VERIFY, "if end > bound:", "if end >= bound:", ("tests/test_verify.py",)),
+    Mutant(  # a one-shard run would fork a pool, and load its modules
+        VERIFY, "if shards == 1:", "if shards < 1:", ("tests/test_imports.py",)
+    ),
     Mutant(  # rows of one n keep the chain's link order, not the names' order
         VERIFY,
         "key=lambda f: f.n)",
@@ -87,6 +90,15 @@ MUTANTS = (
         'if ns.suite != "dedekind" and ns.end > DEFAULT_RANGE_CAP',
         "if ns.end > DEFAULT_RANGE_CAP",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        CLI,
+        "terms > DEFAULT_NAIVE_TERM_CAP",
+        "terms >= DEFAULT_NAIVE_TERM_CAP",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        CLI, "800 * 801 // 2 * 800", "800 * 801 // 2 * 801", ("tests/test_cli.py",)
     ),
     Mutant(  # eval's x is p/q
         CLI, '(_rational, "integer or p/q")', '(_integer, "integer or p/q")', ("tests/test_cli.py",)

@@ -1,10 +1,11 @@
-"""Which calls load numpy, seen from fresh interpreters.
+"""What a fresh process loads: numpy and the process pool, seen from new interpreters.
 
 Only the functions of `totdk.arith` that build int64 arrays import numpy: the
 totatives, the shard's sieve table and the residue kernels that sum over the
 totatives.  The Dedekind sums, `eval`, `bench` and the dedekind suite run
-without it.  The test process has numpy
-loaded already, so each check starts its own interpreter.
+without it.  Only a `verify` run of more than one shard imports
+`multiprocessing` and `concurrent.futures`.  The test process has all of
+these loaded already, so each check starts its own interpreter.
 """
 
 import json
@@ -13,23 +14,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import totdk
 
 SRC = str(Path(totdk.__file__).parents[1])
 
-# Prints, as JSON, [step, exit code or raised exception name, numpy loaded]
-# for each step, in order.
+# Prints, as JSON, [step, exit code or raised exception name, the modules of
+# WATCHED that are loaded] for each step, in order.
 PROBE = """\
 import contextlib, io, json, sys
 import totdk, totdk.cli
 from totdk import ENUMERATION_BOUND, coprime_residues
 from totdk.cli import main
 
-steps = [["import totdk, totdk.cli", 0, "numpy" in sys.modules]]
+watched = json.loads(sys.argv[2])
+def loaded():
+    return [name for name in watched if name in sys.modules]
+
+steps = [["import totdk, totdk.cli", 0, loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    steps.append([" ".join(argv), code, "numpy" in sys.modules])
+    steps.append([" ".join(argv), code, loaded()])
     if argv == ["eval", "dedekind", "1", "3"]:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             main(argv)
@@ -39,12 +46,18 @@ try:
     outcome = "returned"
 except Exception as exc:
     outcome = type(exc).__name__
-steps.append(["coprime_residues(ENUMERATION_BOUND + 1)", outcome, "numpy" in sys.modules])
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["verify", "--suite", "spence", "--from", "2", "--to", "20"])
-steps.append(["verify --suite spence", code, "numpy" in sys.modules])
+steps.append(["coprime_residues(ENUMERATION_BOUND + 1)", outcome, loaded()])
+for workers in ("1", "2"):
+    argv = ["verify", "--suite", "spence", "--from", "2", "--to", "20", "--workers", workers]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    steps.append([" ".join(argv), code, loaded()])
 print(json.dumps(steps))
 """
+
+# totdk.bench is loaded by `import totdk.cli`, which perfbench's set-up probe
+# relies on: it reads totdk.bench.generate_pairs after importing only the CLI.
+WATCHED = ["totdk.bench", "numpy", "multiprocessing", "concurrent.futures"]
 
 NUMPY_FREE = [
     ["eval", "dedekind", "1", "3"],
@@ -63,9 +76,10 @@ def _env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def test_only_array_builders_load_numpy():
+@pytest.fixture(scope="module")
+def probe_steps():
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(NUMPY_FREE)],
+        [sys.executable, "-c", PROBE, json.dumps(NUMPY_FREE), json.dumps(WATCHED)],
         capture_output=True,
         text=True,
         env=_env(),
@@ -73,17 +87,34 @@ def test_only_array_builders_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
+    spence = "verify --suite spence --from 2 --to 20 --workers"
     assert [step for step, _, _ in steps] == [
         "import totdk, totdk.cli",
         *(" ".join(argv) for argv in NUMPY_FREE),
         "coprime_residues(ENUMERATION_BOUND + 1)",
-        "verify --suite spence",
+        f"{spence} 1",
+        f"{spence} 2",
     ]
-    *numpy_free, refused, spence = steps
+    return steps
+
+
+def test_only_array_builders_load_numpy(probe_steps):
+    *numpy_free, refused, solo, duo = probe_steps
     for step, code, loaded in numpy_free:
-        assert (code, loaded) == (0, False), step
-    assert refused[1:] == ["ResourceLimitError", False]
-    assert spence[1:] == [0, True]
+        assert (code, "numpy" in loaded) == (0, False), step
+    assert (refused[1], "numpy" in refused[2]) == ("ResourceLimitError", False)
+    assert (solo[1], "numpy" in solo[2]) == (0, True)
+    assert (duo[1], "numpy" in duo[2]) == (0, True)
+
+
+def test_only_a_sharded_verify_loads_the_process_pool(probe_steps):
+    *one_process, duo = probe_steps
+    pool = {"multiprocessing", "concurrent.futures"}
+    for step, _, loaded in one_process:
+        assert "totdk.bench" in loaded, step
+        assert not pool & set(loaded), step
+    assert duo[1] == 0
+    assert pool <= set(duo[2])
 
 
 def test_forked_workers_that_import_numpy_themselves_give_the_same_report():

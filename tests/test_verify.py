@@ -1,10 +1,12 @@
 """Range verification: suites, sharding determinism, report rendering."""
 
 import collections
+import concurrent.futures.process
 import contextlib
 import dataclasses
 import json
 import math
+import os
 import threading
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from totdk import (
     DomainError,
     IdentityResult,
     InvariantViolation,
+    ResourceLimitError,
     VerificationReport,
     run_suite,
 )
@@ -48,7 +51,7 @@ class InProcessPool:
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    monkeypatch.setattr(totdk.verify, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     pool_sizes.clear()
     return pool_sizes
 
@@ -190,6 +193,17 @@ def test_pool_falls_back_to_cpu_count_without_affinity(monkeypatch, in_process_p
     assert in_process_pool == [3, 1]
 
 
+def _die_in_worker(job):
+    os._exit(1)
+
+
+def test_a_worker_that_dies_raises_resource_limit_error(monkeypatch):
+    monkeypatch.setattr(totdk.verify, "_run_shard", _die_in_worker)
+    with pytest.raises(ResourceLimitError, match="^worker process died") as caught:
+        run_suite("spence", 2, 30, workers=2)
+    assert isinstance(caught.value.__cause__, concurrent.futures.process.BrokenProcessPool)
+
+
 def test_json_shape():
     report = run_suite("spence", 2, 12)
     payload = json.loads(report.render("json"))
@@ -275,7 +289,7 @@ def test_shards_deal_blocks_of_six(suite, start, span, workers):
         return []
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(totdk.verify, "ProcessPoolExecutor", InProcessPool)
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         mp.setattr(totdk.verify, "_run_shard", run_shard)
         mp.setattr(totdk.verify, "_suite_failures", record)
         mp.setattr(totdk.verify, "Sieve", lambda end: contextlib.nullcontext())
