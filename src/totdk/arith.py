@@ -10,8 +10,9 @@ divisors with their Moebius weights, listed by prime bitmask.
 This is the package's one numpy module.  Every sum over the totatives is
 taken here, by the residue kernels, in int64 arithmetic that the bound of
 `coprime_residues` keeps exact (see ENUMERATION_BOUND); `totdk.spence` passes
-them the array and reads back Python ints.  numpy is imported only inside the
-functions that build arrays: `coprime_residues` (after its bound check),
+them the array and reads back Python ints, nu's sum as a numerator over n,
+which every square-free divisor of n divides.  numpy is imported only inside
+the functions that build arrays: `coprime_residues` (after its bound check),
 `Sieve`, the rank vector's first build and the theta/nu divmod.  Importing
 this module, calling `distinct_primes` or `squarefree_divisors_from`, and a
 call that a bound refuses leave numpy unloaded.
@@ -144,13 +145,13 @@ def _sum_j_aj(residues: np.ndarray) -> int:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _theta_nu_sums(residues: np.ndarray, pairs: list[tuple[int, int]], m: int) -> tuple[int, int]:
-    """(sum(theta(n, a) * a), m * sum(nu(n, a) * a)) over U(n), m = radical(n),
-    from the square-free divisors of n with their Moebius weights, `pairs`.
+def _theta_nu_sums(residues: np.ndarray, pairs: list[tuple[int, int]], n: int) -> tuple[int, int]:
+    """(sum(theta(n, a) * a), n * sum(nu(n, a) * a)) over U(n), from the
+    square-free divisors of n with their Moebius weights, `pairs`.
 
     floor(a/d) and a mod d come from one divmod over a block of divisor rows,
-    then two int64 mat-vec products; the Moebius weights, and m/d, which puts
-    frac(a/d) = (a mod d)/d over the common denominator m, apply in Python ints.
+    then two int64 mat-vec products; the Moebius weights, and n/d, which puts
+    frac(a/d) = (a mod d)/d over n, which every d divides, apply in Python ints.
     """
     import numpy as np
 
@@ -163,7 +164,7 @@ def _theta_nu_sums(residues: np.ndarray, pairs: list[tuple[int, int]], m: int) -
             pairs[lo : lo + rows], (floors @ residues).tolist(), (rems @ residues).tolist()
         ):
             theta_weighted += mu * f
-            nu_numerator += mu * (m // d) * r
+            nu_numerator += mu * (n // d) * r
     return theta_weighted, nu_numerator
 
 

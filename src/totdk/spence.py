@@ -102,12 +102,12 @@ def sum_j_aj_bruteforce(n: int) -> int:
     return _sum_j_aj(coprime_residues(n))
 
 
-def _closed_forms(n: int) -> tuple[tuple[int, ...], int, int, int, int, int]:
-    """(primes, m, spence, sum_sq, s, delange) of n >= 1, m = radical(n).
-
-    The last four are the closed forms of sum(j * a_j), sum(a^2) over U(n),
-    S(n) and Delange's product as integer numerators over 24, 6, 24 and n,
-    all from one distinct_primes call; phi(n) = n/m * phi(m).
+def _closed_forms(n: int) -> tuple[tuple[int, ...], int, int, int, int]:
+    """(primes, spence, sum_sq, s, delange) of n >= 1: the primes, then the
+    closed forms of sum(j * a_j), sum(a^2) over U(n), S(n) and Delange's
+    product as integer numerators over 24, 6, 24 and n, from one
+    distinct_primes call.  The radical m of n stays inside, read through
+    phi(m), phi(n) = n/m * phi(m), and the (-1)^omega * m term of sum(a^2).
     """
     primes = distinct_primes(n)
     m = phi_m = 1
@@ -119,7 +119,6 @@ def _closed_forms(n: int) -> tuple[tuple[int, ...], int, int, int, int, int]:
     two_omega = 1 << len(primes)
     return (
         primes,
-        m,
         phi_n * (8 * n * phi_n + 6 * n + 2 * sign * phi_m - two_omega),
         phi_n * (2 * n * n + sign * m),
         phi_n * (2 * sign * phi_m + two_omega),
@@ -134,7 +133,7 @@ def spence_closed_form(n: int) -> int:
     integrality is asserted, not assumed.
     """
     n = _require_n_ge_2(n)
-    numerator = _closed_forms(n)[2]
+    numerator = _closed_forms(n)[1]
     if numerator % 24:
         raise InvariantViolation(
             f"closed form for n={n} not divisible by 24: {numerator}"
@@ -176,7 +175,7 @@ def s_double_sum(n: int) -> Fraction:
 def s_closed_form(n: int) -> Fraction:
     """S(n) in closed form: phi(n)/24 * (2*(-1)^omega(m)*phi(m) + 2^omega(n))."""
     n = _require_n_ge_2(n)
-    return Fraction(_closed_forms(n)[4], 24)
+    return Fraction(_closed_forms(n)[3], 24)
 
 
 def delange_closed_form(n: int) -> Fraction:
@@ -185,7 +184,7 @@ def delange_closed_form(n: int) -> Fraction:
     The double sum is sum(mu(d1) mu(d2) * d1*d2/n^2 * gcd(n/d1, n/d2)^2)
     over the divisor pairs of n."""
     n = operator.index(n)
-    return Fraction(_closed_forms(n)[5], n)
+    return Fraction(_closed_forms(n)[4], n)
 
 
 def verify_chain(n: int) -> list[IdentityResult]:
@@ -203,11 +202,11 @@ def verify_chain(n: int) -> list[IdentityResult]:
       delange_product      gcd double sum vs 2^omega(n)*phi(n)/n
       spence_formula       sum(j * a_j) vs the full closed form
 
-    The square-free divisors of n are built once, from the primes that
-    _closed_forms returns, and feed both the theta/nu kernel and the Delange sum.
+    The square-free divisors of n, built once from _closed_forms' primes, feed
+    the theta/nu kernel and the Delange sum; nu's sum is over n, not the radical.
     """
     n = _require_n_ge_2(n)
-    primes, m, spence24, sum_sq6, s24, delange_n = _closed_forms(n)
+    primes, spence24, sum_sq6, s24, delange_n = _closed_forms(n)
     pairs = squarefree_divisors_from(primes)
     residues = coprime_residues(n)
     phi_n = len(residues)
@@ -215,7 +214,7 @@ def verify_chain(n: int) -> list[IdentityResult]:
     # Every link is (lhs numerator, lhs denominator, rhs numerator, rhs
     # denominator) in integers and matches when the cross products agree.
     jaj = _sum_j_aj(residues)
-    theta_sum, nu_numerator = _theta_nu_sums(residues, pairs, m)
+    theta_sum, nu_numerator = _theta_nu_sums(residues, pairs, n)
     sum_sq = _sum_squares(residues)
     s_num, s_den = s_double_sum(n).as_integer_ratio()
     # The Delange summand is symmetric in (d1, d2): twice the unordered pairs
@@ -228,9 +227,9 @@ def verify_chain(n: int) -> list[IdentityResult]:
 
     sides = (
         (jaj, 1, theta_sum, 1),
-        (theta_sum, 1, phi_n * sum_sq * m - nu_numerator * n, n * m),
+        (theta_sum, 1, phi_n * sum_sq - nu_numerator, n),
         (sum_sq, 1, sum_sq6, 6),
-        (nu_numerator, m, 4 * s_num - n * phi_n * s_den, 4 * s_den),
+        (nu_numerator, n, 4 * s_num - n * phi_n * s_den, 4 * s_den),
         (s_num, s_den, s24, 24),
         (delange_num, n * n, delange_n, n),
         (jaj, 1, spence24, 24),

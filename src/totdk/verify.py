@@ -120,7 +120,7 @@ def _suite_failures(suite: str, n: int, b_max: int) -> list[IdentityResult]:
         try:
             rhs = spence_closed_form(n)
         except InvariantViolation:  # a closed form that is no integer fails the row
-            rhs = Fraction(_closed_forms(n)[2], 24)
+            rhs = Fraction(_closed_forms(n)[1], 24)
         if lhs == rhs:
             return []
         return [IdentityResult(n, "spence_formula", Fraction(lhs), Fraction(rhs), False)]

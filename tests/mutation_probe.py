@@ -107,7 +107,7 @@ MUTANTS = (
         Mutant(SPENCE, row, rhs_plus_one, ("tests/test_chain_reference.py",))
         for row, rhs_plus_one in (
             ("(jaj, 1, theta_sum, 1)", "(jaj, 1, theta_sum + 1, 1)"),
-            ("nu_numerator * n, n * m)", "nu_numerator * n + 1, n * m)"),
+            ("phi_n * sum_sq - nu_numerator, n)", "phi_n * sum_sq - nu_numerator + 1, n)"),
             ("(sum_sq, 1, sum_sq6, 6)", "(sum_sq, 1, sum_sq6 + 1, 6)"),
             ("phi_n * s_den, 4 * s_den)", "phi_n * s_den + 1, 4 * s_den)"),
             ("(s_num, s_den, s24, 24)", "(s_num, s_den, s24 + 1, 24)"),
@@ -116,6 +116,9 @@ MUTANTS = (
         )
     ),
     Mutant(SPENCE, "if numerator % 24:", "if numerator % 8:", ("tests/test_cli.py",)),
+    Mutant(  # a wrong weight of nu, n/d + 1; the reference chain reaches nu over m
+        ARITH, "mu * (n // d) * r", "mu * (n // d + 1) * r", ("tests/test_chain_reference.py",)
+    ),
     Mutant(  # equal values; only the unused-private-name test sees _BLOCK_ELEMENTS go
         ARITH,
         "rows = max(1, _BLOCK_ELEMENTS // max(len(residues), 1))",

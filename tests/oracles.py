@@ -161,7 +161,5 @@ def nu_weighted_sum_bruteforce(n: int) -> Fraction:
     """sum(nu(n, a) * a) over U(n), exact, as verify_chain computes it: by the
     production theta/nu kernel `_theta_nu_sums`, not by enumerating nu(n, a)."""
     _require_n_ge_2(n)
-    primes = distinct_primes(n)
-    m = math.prod(primes)
-    pairs = squarefree_divisors_from(primes)
-    return Fraction(_theta_nu_sums(coprime_residues(n), pairs, m)[1], m)
+    pairs = squarefree_divisors_from(distinct_primes(n))
+    return Fraction(_theta_nu_sums(coprime_residues(n), pairs, n)[1], n)

@@ -296,16 +296,35 @@ def test_verify_interrupt_exits_130(capsys, monkeypatch):
     assert err == "error: interrupted\n"
 
 
-def _children(pid):
-    return Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+def _children_on_cpu(pid):
+    """The children of pid that have run: utime + stime > 0 in /proc/<child>/stat."""
+    running = []
+    for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split():
+        try:
+            stat = Path(f"/proc/{child}/stat").read_text()
+        except OSError:  # it has exited since the children were listed
+            continue
+        # the fields after the parenthesized comm, from the state (field 3) on
+        utime, stime = stat.rsplit(")", 1)[1].split()[11:13]
+        if int(utime) + int(stime) > 0:
+            running.append(child)
+    return running
 
 
 @pytest.mark.skipif(
     not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
     reason="needs /proc/PID/task/PID/children to see the pool start",
 )
-def test_verify_interrupt_with_two_workers_exits_130():
-    # Ctrl-C at a terminal sends SIGINT to the whole foreground process group.
+@pytest.mark.parametrize(
+    "send,timeout",
+    [
+        # Ctrl-C at a terminal sends SIGINT to the whole foreground process group.
+        pytest.param(os.killpg, 60, id="group"),
+        # kill -INT of the parent pid reaches no worker, so the parent must stop them.
+        pytest.param(os.kill, 20, id="parent"),
+    ],
+)
+def test_verify_interrupt_with_two_workers_exits_130(send, timeout):
     src = str(Path(totdk.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -317,15 +336,19 @@ def test_verify_interrupt_with_two_workers_exits_130():
         text=True,
         env=env,
         start_new_session=True,
+        # A shell's background job starts with SIGINT ignored, and a Python
+        # started so keeps ignoring it: give the CLI the default action.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
+        # Wait until both workers have run, so that a loaded host cannot
+        # deliver the SIGINT to a worker that is still starting.
         deadline = time.monotonic() + 60
-        while not _children(proc.pid):
+        while len(_children_on_cpu(proc.pid)) < 2:
             assert time.monotonic() < deadline, "the pool never started"
             time.sleep(0.05)
-        time.sleep(0.5)  # let the workers reach the sweep
-        os.killpg(proc.pid, signal.SIGINT)
-        out, err = proc.communicate(timeout=60)
+        send(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=timeout)
         assert proc.returncode == 130
         assert "Traceback" not in err
         assert err.endswith("error: interrupted\n")
@@ -343,55 +366,12 @@ def test_verify_interrupt_with_two_workers_exits_130():
         proc.wait()
 
 
-@pytest.mark.skipif(
-    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
-    reason="needs /proc/PID/task/PID/children to see the pool start",
-)
-def test_verify_interrupt_of_the_parent_alone_stops_the_workers():
-    # kill -INT of the parent pid reaches no worker, so the parent must stop them.
-    src = str(Path(totdk.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    argv = ["verify", "--suite", "chain", "--from", "2", "--to", "100000", "--allow-slow"]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "totdk.cli", *argv, "--workers", "2"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
-        start_new_session=True,
-    )
-    try:
-        deadline = time.monotonic() + 60
-        while len(_children(proc.pid)) < 2:
-            assert time.monotonic() < deadline, "the pool never started"
-            time.sleep(0.05)
-        time.sleep(0.5)  # let the workers reach the sweep
-        os.kill(proc.pid, signal.SIGINT)
-        out, err = proc.communicate(timeout=20)
-        assert proc.returncode == 130
-        assert "Traceback" not in err
-        assert err.endswith("error: interrupted\n")
-        assert out == ""
-        deadline = time.monotonic() + 10
-        with pytest.raises(ProcessLookupError):  # no worker survives the parent
-            while time.monotonic() < deadline:
-                os.killpg(proc.pid, 0)
-                time.sleep(0.05)
-    finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait()
-
-
 def _spence_numerator_off_by(monkeypatch, offset):
     real = totdk.spence._closed_forms
 
     def planted(n):
-        primes, m, spence, *rest = real(n)
-        return (primes, m, spence + offset, *rest)
+        primes, spence, *rest = real(n)
+        return (primes, spence + offset, *rest)
 
     monkeypatch.setattr(totdk.spence, "_closed_forms", planted)
     monkeypatch.setattr(totdk.verify, "_closed_forms", planted)

@@ -47,7 +47,7 @@ from totdk.spence import _closed_forms
 
 def sum_squares_totatives(n):
     """The library's closed form for sum(a^2) over U(n): its numerator over 6."""
-    numerator = _closed_forms(n)[3]
+    numerator = _closed_forms(n)[2]
     assert numerator % 6 == 0
     return numerator // 6
 
