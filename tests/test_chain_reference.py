@@ -132,24 +132,25 @@ def test_chain_equals_reference_at_any_block_size(monkeypatch, cap):
 
 
 @pytest.mark.parametrize(
-    "index,tag,lhs,rhs",
+    "field,tag,lhs,rhs",
     [
-        (1, "spence_formula", "76", "1825/24"),
-        (2, "sum_of_squares", "196", "1177/6"),
-        (3, "dedekind_double_sum", "4/3", "11/8"),
-        (4, "delange_product", "4/3", "17/12"),
+        (2, "spence_formula", "76", "1825/24"),
+        (3, "sum_of_squares", "196", "1177/6"),
+        (4, "dedekind_double_sum", "4/3", "11/8"),
+        (5, "delange_product", "4/3", "17/12"),
     ],
 )
 def test_planted_closed_form_fault_fails_exactly_the_link_that_reads_it(
-    monkeypatch, index, tag, lhs, rhs
+    monkeypatch, field, tag, lhs, rhs
 ):
     # _closed_forms returns (primes, spence, sum_sq, s, delange) numerators;
-    # one more in a numerator is a non-integral or wrong closed form.
+    # field counts that tuple from 1.  One more in a numerator is a
+    # non-integral or wrong closed form.
     real = totdk.spence._closed_forms
 
     def planted(n):
         forms = list(real(n))
-        forms[index] += 1
+        forms[field - 1] += 1
         return tuple(forms)
 
     monkeypatch.setattr(totdk.spence, "_closed_forms", planted)
