@@ -5,17 +5,20 @@ factorization: it reads the smallest-prime-factor table of the open
 `with Sieve(limit):` scope when that covers n and does its own trial division
 otherwise.  `Sieve` is internal: `verify._run_shard` opens one scope per shard.
 From the primes follow the totatives as an int64 array and the square-free
-divisors with their Moebius weights, listed by prime bitmask.
+divisors with their Moebius weights, listed by prime bitmask.  The totatives
+are built from those of the radical m = rad(n): its reduced residues, sieved
+over the odd numbers only when n is even, tiled n/m times by m.
 
 This is the package's one numpy module.  Every sum over the totatives is
-taken here, by the residue kernels, in int64 arithmetic that the bound of
-`coprime_residues` keeps exact (see ENUMERATION_BOUND); `totdk.spence` passes
-them the array and reads back Python ints, nu's sum as a numerator over n,
-which every square-free divisor of n divides.  numpy is imported only inside
-the functions that build arrays: `coprime_residues` (after its bound check),
-`Sieve`, the rank vector's first build and the theta/nu divmod.  Importing
-this module, calling `distinct_primes` or `squarefree_divisors_from`, and a
-call that a bound refuses leave numpy unloaded.
+taken here, by the residue kernels, in int64 arithmetic (int32 for the
+theta/nu divmod) that the bound of `coprime_residues` keeps exact (see
+ENUMERATION_BOUND); `totdk.spence` passes them the array and reads back
+Python ints, nu's sum as a numerator over n, which every square-free divisor
+of n divides.  numpy is imported only inside the functions that build
+arrays: `coprime_residues` (after its bound check), `Sieve`, the rank
+vector's first build and the theta/nu divmod.  Importing this module,
+calling `distinct_primes` or `squarefree_divisors_from`, and a call that a
+bound refuses leave numpy unloaded.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ if TYPE_CHECKING:
 #: Largest n for which totatives are enumerated brute force.  The cap doubles
 #: as the exactness guarantee of the residue kernels below: every dot product
 #: they take over the totatives of n is a sum of fewer than n terms, each below
-#: n**2, so it stays under n**3 <= 8 * 10**18 < 2**63.  It is therefore a
-#: constant, not a per-call argument.
+#: n**2, so it stays under n**3 <= 8 * 10**18 < 2**63, and the theta/nu
+#: divmod runs in int32, since every totative, divisor, floor and remainder
+#: is at most n < 2**31.  It is therefore a constant, not a per-call argument.
 ENUMERATION_BOUND = 2_000_000
 
 # Largest trial divisor, so that every factorization ends; no n <= ENUMERATION_BOUND
@@ -93,7 +97,11 @@ def squarefree_divisors_from(primes: Sequence[int]) -> list[tuple[int, int]]:
 def coprime_residues(n: int) -> np.ndarray:
     """Ascending int64 array of the totatives of n ((1,) for n = 1).
 
-    Sieves multiples of each distinct prime of n out of [1, n], n included.
+    Whether a is prime to n depends only on a mod m, m = rad(n), so the
+    reduced residues of m are sieved and then tiled: U(n) is U(m) + m*k for
+    k = 0, ..., n/m - 1.  An odd m has multiples of its primes struck from
+    [0, m]; an even m, whose residues are all odd, sieves only the odd
+    numbers of [1, m], mask index i standing for 2i + 1.
     """
     n = operator.index(n)
     if n < 1:
@@ -104,11 +112,28 @@ def coprime_residues(n: int) -> np.ndarray:
         )
     import numpy as np
 
-    mask = np.ones(n + 1, dtype=bool)
-    mask[0] = False
-    for p in distinct_primes(n):
-        mask[p::p] = False
-    return np.flatnonzero(mask).astype(np.int64, copy=False)
+    primes = distinct_primes(n)
+    m = math.prod(primes)
+    # empty + fill: np.ones' scalar copy costs about 1 us more per call.
+    if m % 2:
+        mask = np.empty(m + 1, dtype=bool)
+        mask.fill(True)
+        mask[0] = False
+        for p in primes:
+            mask[p::p] = False
+        base = mask.nonzero()[0].astype(np.int64, copy=False)
+    else:
+        # The odd multiples p, 3p, 5p, ... of an odd prime p sit at p // 2 + k*p.
+        mask = np.empty(m // 2, dtype=bool)
+        mask.fill(True)
+        for p in primes[1:]:
+            mask[p // 2 :: p] = False
+        base = mask.nonzero()[0].astype(np.int64, copy=False)
+        base *= 2
+        base += 1
+    if n > m:
+        return (np.arange(0, n, m, dtype=np.int64)[:, None] + base).ravel()
+    return base
 
 
 # Residue kernels: the sums over coprime_residues' array that totdk.spence reads.
@@ -149,17 +174,21 @@ def _theta_nu_sums(residues: np.ndarray, pairs: list[tuple[int, int]], n: int) -
     """(sum(theta(n, a) * a), n * sum(nu(n, a) * a)) over U(n), from the
     square-free divisors of n with their Moebius weights, `pairs`.
 
-    floor(a/d) and a mod d come from one divmod over a block of divisor rows,
-    then two int64 mat-vec products; the Moebius weights, and n/d, which puts
-    frac(a/d) = (a mod d)/d over n, which every d divides, apply in Python ints.
+    floor(a/d) and a mod d come from one int32 divmod over a block of divisor
+    rows, exact since n < 2**31, then two mat-vec products against the int64
+    residues, which promote them to int64; the Moebius weights, and n/d, which
+    puts frac(a/d) = (a mod d)/d over n, which every d divides, apply in
+    Python ints.
     """
     import numpy as np
 
-    ds = np.array([d for d, _ in pairs], dtype=np.int64)
+    # numpy's int64 divmod costs about 3x its int32 divmod per element.
+    narrow = residues.astype(np.int32)
+    ds = np.array([d for d, _ in pairs], dtype=np.int32)
     rows = max(1, _BLOCK_ELEMENTS // max(len(residues), 1))
     theta_weighted = nu_numerator = 0
     for lo in range(0, len(pairs), rows):
-        floors, rems = np.divmod(residues, ds[lo : lo + rows, None])
+        floors, rems = np.divmod(narrow, ds[lo : lo + rows, None])
         for (d, mu), f, r in zip(
             pairs[lo : lo + rows], (floors @ residues).tolist(), (rems @ residues).tolist()
         ):

@@ -119,6 +119,18 @@ MUTANTS = (
     Mutant(  # a wrong weight of nu, n/d + 1; the reference chain reaches nu over m
         ARITH, "mu * (n // d) * r", "mu * (n // d + 1) * r", ("tests/test_chain_reference.py",)
     ),
+    *(  # the totatives built from the radical's: tiles, odd-only sieve, odd map
+        Mutant(ARITH, old, new, ("tests/test_arith.py",))
+        for old, new in (
+            ("np.arange(0, n, m", "np.arange(m, n, m"),
+            ("p // 2 ::", "p // 2 + p ::"),
+            ("for p in primes[1:]:", "for p in primes:"),
+            ("base += 1", "base -= 1"),
+        )
+    ),
+    Mutant(  # totatives past 2**15 wrap in the theta/nu divmod
+        ARITH, "residues.astype(np.int32)", "residues.astype(np.int16)", ("tests/test_arith.py",)
+    ),
     Mutant(  # equal values; only the unused-private-name test sees _BLOCK_ELEMENTS go
         ARITH,
         "rows = max(1, _BLOCK_ELEMENTS // max(len(residues), 1))",

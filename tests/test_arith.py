@@ -20,7 +20,7 @@ from totdk import (
     spence_closed_form,
 )
 import totdk.arith
-from totdk.arith import Sieve, _sum_j_aj, squarefree_divisors_from
+from totdk.arith import Sieve, _sum_j_aj, _theta_nu_sums, squarefree_divisors_from
 
 small_n = st.integers(min_value=1, max_value=50_000)
 
@@ -218,12 +218,22 @@ def test_totative_count_matches_totient(n):
     assert len(coprime_residues(n)) == totient(n)
 
 
-@given(st.integers(min_value=2, max_value=2000))
-def test_coprime_residues_definition(n):
-    got = coprime_residues(n)
-    expected = [a for a in range(1, n) if math.gcd(a, n) == 1]
-    assert got.dtype == np.int64
-    assert got.tolist() == expected
+def test_coprime_residues_definition():
+    for n in range(1, 2001):
+        got = coprime_residues(n)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        expected = [a for a in range(1, n) if math.gcd(a, n) == 1] if n > 1 else [1]
+        assert got.tolist() == expected, n
+    # One large n per path: odd square-free (the radical's own mask), even
+    # square-free (odd numbers only), odd and even with a radical below n
+    # (tiled), and a prime.
+    for n in (255_255, 510_510, 3**13, 2**20, 2**7 * 5**6, 1_999_993):
+        got = coprime_residues(n)
+        assert got.dtype == np.int64 and got.flags.c_contiguous, n
+        assert (got[1:] > got[:-1]).all(), n
+        assert (got[0], got[-1]) == (1, n - 1), n
+        assert len(got) == totient(n), n
+        assert (np.gcd(got, n) == 1).all(), n
 
 
 def test_enumeration_bound_is_enforced():
@@ -235,6 +245,31 @@ def test_enumeration_bound_is_enforced():
     top = coprime_residues(ENUMERATION_BOUND)
     assert len(top) == totient(ENUMERATION_BOUND)
     assert top[-1] == ENUMERATION_BOUND - 1
+
+
+# ------------------------------------------------------------ theta/nu kernel
+
+
+def theta_nu_sums_reference(n, pairs):
+    """_theta_nu_sums in Python ints: divmod of every totative by every d."""
+    residues = coprime_residues(n).tolist()
+    theta_weighted = nu_numerator = 0
+    for d, mu in pairs:
+        for a in residues:
+            f, r = divmod(a, d)
+            theta_weighted += mu * f * a
+            nu_numerator += mu * (n // d) * r * a
+    return theta_weighted, nu_numerator
+
+
+# All 64 square-free divisors of 30030 = 2*3*5*7*11*13, and the four largest of
+# 1531530 = 3 * 510510, whose totatives pass 2**15.
+@pytest.mark.parametrize("n,largest", [(30030, 64), (1_531_530, 4)])
+def test_theta_nu_sums_match_python_divmod(n, largest):
+    pairs = sorted(squarefree_divisors_from(distinct_primes(n)))[-largest:]
+    assert len(pairs) == largest
+    expected = theta_nu_sums_reference(n, pairs)
+    assert _theta_nu_sums(coprime_residues(n), pairs, n) == expected
 
 
 # ---------------------------------------------------------- shared rank vector
