@@ -30,7 +30,7 @@ from .verify import SUITES, run_suite
 #: The spence and chain suites' --to stops here unless --allow-slow is passed.
 DEFAULT_RANGE_CAP = 100_000
 #: The dedekind suite's naive terms, sum(a * end) over a in the range, stop here:
-#: the 800 x 800 grid, 58 s on one core of a 2-core Xeon.  Every --to past 100000 is over.
+#: the 800 x 800 grid, 17 s on one core of a 2-core Xeon.  Every --to past 100000 is over.
 DEFAULT_NAIVE_TERM_CAP = 800 * 801 // 2 * 800
 
 #: eval kind -> (function, argument names); "x" is a rational, the rest integers.

@@ -31,11 +31,13 @@ public front end, checks the pair and builds one Fraction from it;
 `spence.s_double_sum` sums the numerators in integers over coprime reduced
 pairs and builds no Fraction per pair, and `bench` reads the depth from it.
 
-`dedekind_naive` walks the definition in O(a); `verify` and `bench` check
-the closed form against it.  The tests' further oracles, the sawtooth ((x))
-and the right-hand side of the reciprocity law
-s(b, a) + s(a, b) = -1/4 + (b/a + 1/(a*b) + a/b)/12 for coprime a, b, live
-in `tests/oracles.py`.
+`dedekind_naive` walks the definition in O(a), over k = 1..(a-1)//2 only:
+the sawtooth's oddness and period 1 make the terms at k and a - k equal, so
+it doubles the half sum and uses neither reciprocity nor Euclid.  `verify`
+and `bench` check the closed form against it.  The tests' further oracles,
+the full-range sum, the sawtooth ((x)) and the right-hand side of the
+reciprocity law s(b, a) + s(a, b) = -1/4 + (b/a + 1/(a*b) + a/b)/12 for
+coprime a, b, live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -59,26 +61,32 @@ def _require_valid(b: int, a: int) -> tuple[int, int]:
 
 
 def dedekind_naive(b: int, a: int) -> Fraction:
-    """s(b, a) summed term by term from the definition; O(a).
+    """s(b, a) summed term by term from the definition over half the range; O(a).
 
     Each nonzero term equals ((k*b/a)) * ((k/a)) written over the common
     denominator 4*a*a: with r = k*b mod a the term is
     (2*r - a) * (2*k - a) / (4*a*a), zero exactly when r = 0 (which also
-    swallows the k = a term).  Accumulation is pure integer arithmetic.
+    swallows the k = a term).  The sawtooth is odd with period 1, so the
+    terms at k and a - k are equal, and the k = a/2 term of an even a is
+    0: the loop sums k = 1..(a-1)//2 and the total is doubled, which
+    halves the denominator.  It carries R = 2*r - a and K = 2*k - a, so a
+    term is R*K and r = 0 is R = -a.  Accumulation is pure integer
+    arithmetic.
     """
     b, a = _require_valid(b, a)
     if a > NAIVE_BOUND:
         raise ResourceLimitError(f"naive Dedekind bound exceeded: a={a} > {NAIVE_BOUND}")
-    step = b % a
+    step = 2 * (b % a)
+    wrap = 2 * a
     total = 0
-    r = 0
-    for k in range(1, a):
-        r += step
-        if r >= a:
-            r -= a
-        if r:
-            total += (2 * r - a) * (2 * k - a)
-    return Fraction(total, 4 * a * a)
+    R = -a
+    for K in range(2 - a, 0, 2):
+        R += step
+        if R >= a:
+            R -= wrap
+        if R != -a:
+            total += R * K
+    return Fraction(total, 2 * a * a)
 
 
 def dedekind_fast(b: int, a: int) -> Fraction:

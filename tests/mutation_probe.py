@@ -65,6 +65,15 @@ MUTANTS = (
         ("tests/test_arith.py",),
     ),
     Mutant(DEDEKIND, "if a > NAIVE_BOUND:", "if a >= NAIVE_BOUND:", ("tests/test_dedekind.py",)),
+    *(  # the half-range naive sum: its denominator, zero test, wrap and start
+        Mutant(DEDEKIND, old, new, ("tests/test_dedekind.py",))
+        for old, new in (
+            ("2 * a * a", "4 * a * a"),
+            ("R != -a", "R != a"),
+            ("R >= a", "R > a"),
+            ("range(2 - a, 0, 2)", "range(4 - a, 0, 2)"),
+        )
+    ),
     Mutant(BENCH, "if max_a > NAIVE_BOUND:", "if max_a >= NAIVE_BOUND:", ("tests/test_bench.py",)),
     Mutant(
         BENCH, "1 <= count <= _MAX_PAIRS", "1 <= count < _MAX_PAIRS", ("tests/test_bench.py",)

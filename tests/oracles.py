@@ -89,6 +89,22 @@ def sawtooth(x: Fraction | int) -> Fraction:
     return x % 1 - Fraction(1, 2)
 
 
+def dedekind_naive_full(b: int, a: int) -> Fraction:
+    """s(b, a) over the definition's full range k = 1..a-1, for a >= 1 and
+    b >= 0: with r = k*b mod a, the sum of (2*r - a) * (2*k - a) over
+    r != 0, divided by 4*a*a.  `dedekind_naive` sums half of it."""
+    step = b % a
+    total = 0
+    r = 0
+    for k in range(1, a):
+        r += step
+        if r >= a:
+            r -= a
+        if r:
+            total += (2 * r - a) * (2 * k - a)
+    return Fraction(total, 4 * a * a)
+
+
 def closed_form_three_pass(b: int, a: int) -> tuple[int, int, int]:
     """(N, k, r) as `dedekind._closed_form` returns them, by three Euclid runs:
     math.gcd scales the pair to the coprime (k, h), a loop sums the signed

@@ -1,13 +1,14 @@
 """Sawtooth function and Dedekind sums: naive oracle, fast evaluator, reciprocity."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closed_form_three_pass, reciprocity_rhs, sawtooth
+from oracles import closed_form_three_pass, dedekind_naive_full, reciprocity_rhs, sawtooth
 from totdk import (
     NAIVE_BOUND,
     DomainError,
@@ -97,6 +98,18 @@ def test_naive_matches_literal_definition_sampled(a, b):
     assert dedekind_naive(b, a) == literal_definition(b, a)
 
 
+def test_naive_half_range_equals_full_range():
+    # Even a, zero terms inside the half range (gcd(b, a) > 1), b >= a and b = 0
+    for a in range(1, 101):
+        for b in range(0, 2 * a + 2):
+            assert dedekind_naive(b, a) == dedekind_naive_full(b, a), (b, a)
+    rng = random.Random(20261020)
+    for _ in range(40):
+        a = rng.randint(1, 10**4)
+        b = rng.choice((0, rng.randrange(a), rng.randint(a, 3 * a), a * rng.randint(1, 3)))
+        assert dedekind_naive(b, a) == dedekind_naive_full(b, a), (b, a)
+
+
 def test_naive_b1_closed_form():
     # s(1, a) = (a-1)(a-2)/(12a)
     for a in range(1, 200):
@@ -117,7 +130,7 @@ def test_naive_resource_bound():
 
 
 def test_naive_accepts_a_at_the_bound():
-    # b = 0 zeroes every term, so the full O(a) loop at a = 10**7 costs about 0.6 s
+    # b = 0 zeroes every term, so the O(a) loop over half of a = 10**7 costs about 0.3 s
     assert dedekind_naive(0, NAIVE_BOUND) == 0
 
 
