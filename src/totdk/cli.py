@@ -22,16 +22,17 @@ import time
 from fractions import Fraction
 
 from .bench import format_table, run_bench
-from .dedekind import dedekind_fast
+from .dedekind import NAIVE_BOUND, dedekind_fast
 from .errors import DomainError, InvariantViolation, ResourceLimitError
 from .spence import delange_closed_form, nu, s_closed_form, spence_closed_form, theta
 from .verify import SUITES, run_suite
 
 #: The spence and chain suites' --to stops here unless --allow-slow is passed.
 DEFAULT_RANGE_CAP = 100_000
-#: The dedekind suite's naive terms, sum(a * end) over a in the range, stop here:
-#: the 800 x 800 grid, 17 s on one core of a 2-core Xeon.  Every --to past 100000 is over.
-DEFAULT_NAIVE_TERM_CAP = 800 * 801 // 2 * 800
+#: The dedekind suite's --to stops here unless --allow-slow is passed: a run
+#: checks --to cells for each a, and the 800 x 800 grid takes 17 s on one core
+#: of a 2-core Xeon.
+DEFAULT_DEDEKIND_CAP = 800
 
 #: eval kind -> (function, argument names); "x" is a rational, the rest integers.
 _EVAL = {
@@ -85,25 +86,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify identities over a range of n")
     p_verify.set_defaults(handler=functools.partial(_cmd_verify, p_verify))
-    p_verify.add_argument("--from", dest="start", type=_integer, required=True)
-    p_verify.add_argument("--to", dest="end", type=_integer, required=True)
-    p_verify.add_argument("--suite", choices=SUITES, default="spence")
     p_verify.add_argument(
-        "--format", dest="fmt", choices=("json", "csv", "human"), default="human"
+        "--from", dest="start", type=_integer, required=True,
+        help="integer, the first n of the range, at least 2 (1 in the dedekind suite); required",
     )
-    p_verify.add_argument("--workers", type=_integer, default=1)
+    p_verify.add_argument(
+        "--to", dest="end", type=_integer, required=True,
+        help="integer, the last n of the range, included; required",
+    )
+    p_verify.add_argument(
+        "--suite", choices=SUITES, default="spence",
+        help="spence: Spence's formula at each n; chain: every link of the proof chain;"
+        " dedekind: fast against naive s(b, n) for b = 1..--to; default %(default)s",
+    )
+    p_verify.add_argument(
+        "--format", dest="fmt", choices=("json", "csv", "human"), default="human",
+        help="the report's format on stdout; default %(default)s",
+    )
+    p_verify.add_argument(
+        "--workers", type=_integer, default=1,
+        help="integer, the most worker processes the range is split over; default %(default)s",
+    )
     p_verify.add_argument(
         "--allow-slow",
         action="store_true",
         help=f"lift the default caps: --to {DEFAULT_RANGE_CAP} for the spence and chain"
-        f" suites, {DEFAULT_NAIVE_TERM_CAP} naive terms for the dedekind suite",
+        f" suites, --to {DEFAULT_DEDEKIND_CAP} for the dedekind suite",
     )
 
     p_bench = sub.add_parser("bench", help="time the naive and fast Dedekind evaluators")
     p_bench.set_defaults(handler=functools.partial(_cmd_bench, p_bench))
-    p_bench.add_argument("--pairs", type=_integer, required=True)
-    p_bench.add_argument("--max-a", dest="max_a", type=_integer, required=True)
-    p_bench.add_argument("--seed", type=_integer, default=1)
+    p_bench.add_argument(
+        "--pairs", type=_integer, required=True,
+        help="integer, how many seeded (b, a) pairs to time; required",
+    )
+    p_bench.add_argument(
+        "--max-a", dest="max_a", type=_integer, required=True,
+        help=f"integer, the largest b and a drawn, at most {NAIVE_BOUND}; required",
+    )
+    p_bench.add_argument(
+        "--seed", type=_integer, default=1,
+        help="integer, the seed of the pair generator; default %(default)s",
+    )
     return parser
 
 
@@ -122,18 +146,9 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
-    if ns.suite != "dedekind" and ns.end > DEFAULT_RANGE_CAP and not ns.allow_slow:
-        parser.error(
-            f"--to {ns.end} exceeds the cap {DEFAULT_RANGE_CAP}"
-            " (pass --allow-slow to raise it)"
-        )
-    # sum(a * end) over the range; run_suite rejects a range with start < 1
-    terms = ns.end * (ns.start + ns.end) * (ns.end - ns.start + 1) // 2 if ns.start >= 1 else 0
-    if ns.suite == "dedekind" and terms > DEFAULT_NAIVE_TERM_CAP and not ns.allow_slow:
-        parser.error(
-            f"--from {ns.start} --to {ns.end} takes {terms} naive Dedekind terms,"
-            f" over the cap {DEFAULT_NAIVE_TERM_CAP} (pass --allow-slow to raise it)"
-        )
+    cap = DEFAULT_DEDEKIND_CAP if ns.suite == "dedekind" else DEFAULT_RANGE_CAP
+    if ns.end > cap and not ns.allow_slow:
+        parser.error(f"--to {ns.end} exceeds the cap {cap} (pass --allow-slow to raise it)")
     t0 = time.perf_counter()
     try:
         report = run_suite(ns.suite, ns.start, ns.end, workers=ns.workers)

@@ -95,19 +95,14 @@ MUTANTS = (
         CLI, "DEFAULT_RANGE_CAP = 100_000", "DEFAULT_RANGE_CAP = 100_001", ("tests/test_cli.py",)
     ),
     Mutant(
-        CLI,
-        'if ns.suite != "dedekind" and ns.end > DEFAULT_RANGE_CAP',
-        "if ns.end > DEFAULT_RANGE_CAP",
-        ("tests/test_cli.py",),
+        CLI, "DEFAULT_DEDEKIND_CAP = 800", "DEFAULT_DEDEKIND_CAP = 801", ("tests/test_cli.py",)
     ),
-    Mutant(
+    Mutant(CLI, "if ns.end > cap", "if ns.end >= cap", ("tests/test_cli.py",)),
+    Mutant(  # the 800 cap selected for the chain suite, 100000 for dedekind
         CLI,
-        "terms > DEFAULT_NAIVE_TERM_CAP",
-        "terms >= DEFAULT_NAIVE_TERM_CAP",
+        'DEFAULT_DEDEKIND_CAP if ns.suite == "dedekind"',
+        'DEFAULT_DEDEKIND_CAP if ns.suite == "chain"',
         ("tests/test_cli.py",),
-    ),
-    Mutant(
-        CLI, "800 * 801 // 2 * 800", "800 * 801 // 2 * 801", ("tests/test_cli.py",)
     ),
     Mutant(  # eval's x is p/q
         CLI, '(_rational, "integer or p/q")', '(_integer, "integer or p/q")', ("tests/test_cli.py",)

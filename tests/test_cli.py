@@ -25,7 +25,7 @@ from totdk import (
     VerificationReport,
     run_suite,
 )
-from totdk.cli import _EVAL, DEFAULT_RANGE_CAP, build_parser, main
+from totdk.cli import _EVAL, DEFAULT_RANGE_CAP, _integer, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -505,7 +505,7 @@ def test_closed_stdout_exits_141_quietly(argv):
     [
         ("verify", "--from", "2", "--to", "10", "--workers", "0"),  # run_suite's DomainError
         ("verify", "--from", "2", "--to", str(DEFAULT_RANGE_CAP + 1)),  # the range cap
-        ("verify", "--suite", "dedekind", "--from", "1", "--to", "801"),  # the naive-term cap
+        ("verify", "--suite", "dedekind", "--from", "1", "--to", "801"),  # the dedekind cap
         ("bench", "--pairs", "2", "--max-a", str(NAIVE_BOUND + 1)),  # run_bench's DomainError
     ],
 )
@@ -550,32 +550,43 @@ def _stub_run_suite(monkeypatch):
 
 def test_verify_range_cap_is_100000(capsys, monkeypatch):
     calls = _stub_run_suite(monkeypatch)
-    code, _, err = run_cli(capsys, "verify", "--from", "2", "--to", "100001")
-    assert code == 2
-    assert "--to 100001 exceeds the cap 100000" in err
-    code, _, _ = run_cli(capsys, "verify", "--from", "2", "--to", "100000")
-    assert code == 0
-    assert calls == [("spence", 2, 100000)]
+    for suite in ("spence", "chain"):
+        argv = ("verify", "--suite", suite, "--from", "2", "--to")
+        code, _, err = run_cli(capsys, *argv, "100001")
+        assert code == 2
+        assert "--to 100001 exceeds the cap 100000 (pass --allow-slow to raise it)" in err
+        code, _, _ = run_cli(capsys, *argv, "100000")
+        assert code == 0
+    assert calls == [("spence", 2, 100000), ("chain", 2, 100000)]
 
 
-def test_dedekind_suite_naive_term_cap(capsys, monkeypatch):
-    # 1..800 takes 800 * 801 / 2 * 800 = 256320000 naive terms, exactly the cap;
-    # the other suites run no naive term, so the cap leaves their ranges alone
+def test_dedekind_suite_range_cap_is_800(capsys, monkeypatch):
+    # the dedekind suite checks --to cells for each a: 1..800 is the 800 x 800 grid
     dedekind = ("verify", "--suite", "dedekind", "--from")
     code, _, err = run_cli(capsys, *dedekind, "-2000", "--to", "-1000")
     assert code == 2
     assert "invalid range [-2000, -1000]" in err  # run_suite's message, not the cap's
     calls = _stub_run_suite(monkeypatch)
-    for end in ("801", "100000", "100001"):  # past --to 100000, the term cap binds
+    for end in ("801", "100000", "100001"):
         code, _, err = run_cli(capsys, *dedekind, "1", "--to", end)
         assert code == 2
-        assert "naive Dedekind terms, over the cap 256320000" in err
-        assert "exceeds the cap 100000" not in err
+        assert f"--to {end} exceeds the cap 800 (pass --allow-slow to raise it)" in err
     assert calls == []
     assert run_cli(capsys, *dedekind, "1", "--to", "800")[0] == 0
     assert run_cli(capsys, *dedekind, "1", "--to", "801", "--allow-slow")[0] == 0
-    assert run_cli(capsys, "verify", "--suite", "chain", "--from", "2", "--to", "1000")[0] == 0
-    assert calls == [("dedekind", 1, 800), ("dedekind", 1, 801), ("chain", 2, 1000)]
+    assert calls == [("dedekind", 1, 800), ("dedekind", 1, 801)]
+
+
+def test_a_narrow_dedekind_band_past_the_cap_needs_allow_slow(capsys, monkeypatch):
+    # the cap bounds --to alone, however few a the range holds
+    calls = _stub_run_suite(monkeypatch)
+    argv = ("verify", "--suite", "dedekind", "--from", "801", "--to", "801")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--to 801 exceeds the cap 800 (pass --allow-slow to raise it)" in err
+    assert calls == []
+    assert run_cli(capsys, *argv, "--allow-slow")[0] == 0
+    assert calls == [("dedekind", 801, 801)]
 
 
 @pytest.mark.parametrize(
@@ -675,3 +686,23 @@ def test_naive_bound_is_reported_in_verify_config(capsys):
 
 def test_parser_prog_name():
     assert build_parser().prog == "totdk"
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_every_option_has_help_with_its_form_and_default(capsys, command):
+    commands = next(a.choices for a in build_parser()._actions if isinstance(a.choices, dict))
+    code, out, _ = run_cli(capsys, command, "-h")
+    assert code == 0
+    out = " ".join(out.split())  # argparse wraps help text at any space
+    for action in commands[command]._actions[1:]:  # after -h
+        name = action.option_strings[0]
+        assert action.help, name
+        if action.type is _integer:
+            assert action.help.startswith("integer, "), name
+        if action.required:
+            assert action.help.endswith("; required"), name
+        elif action.nargs != 0:  # each option that takes a value names its default
+            assert action.help.endswith("; default %(default)s"), name
+            assert f"default {action.default}" in out, name
+    if command == "verify":  # --allow-slow names both --to caps
+        assert "--to 100000 for the spence and chain suites, --to 800 for the dedekind" in out
