@@ -1,13 +1,14 @@
 """The distinct primes of n and the arithmetic the identity chain reads from them.
 
 The chain needs no prime exponent, so `distinct_primes` is the package's only
-factorization: it reads the smallest-prime-factor table of the open
-`with Sieve(limit):` scope when that covers n and does its own trial division
-otherwise.  `Sieve` is internal: `verify._run_shard` opens one scope per shard.
-From the primes follow the totatives as an int64 array and the square-free
-divisors with their Moebius weights, listed by prime bitmask.  The totatives
-are built from those of the radical m = rad(n): its reduced residues, sieved
-over the odd numbers only when n is even, tiled n/m times by m.
+factorization: one loop divides the primes out of n, reading each from the
+smallest-prime-factor table of the open `with Sieve(limit):` scope while that
+covers the cofactor, else by trial division.  `Sieve` is internal:
+`verify._run_shard` opens one scope per shard.  From the primes follow the
+totatives as an int64 array and the square-free divisors with their Moebius
+weights, listed by prime bitmask.  The totatives are built from those of the
+radical m = rad(n): its reduced residues, sieved over the odd numbers only
+when n is even, tiled n/m times by m.
 
 This is the package's one numpy module.  Every sum over the totatives is
 taken here, by the residue kernels, in int64 arithmetic (int32 for the
@@ -50,34 +51,31 @@ _open_table = contextvars.ContextVar("totdk_open_table", default=())
 
 
 def distinct_primes(n: int) -> tuple[int, ...]:
-    """Ascending distinct primes of n: from the open table covering n, else by
-    trial division by 2, 3, then 6k+-1.  The empty tuple for n = 1.
-    Trial division past _TRIAL_DIVISION_CAP raises ResourceLimitError instead,
-    so whether n factors depends on n alone."""
+    """Ascending distinct primes of n, () for n = 1.  One loop divides each
+    prime out of the cofactor: the next is read from the open table while that
+    covers the cofactor, else it is the next trial divisor (2, 3, then 6k+-1)
+    that divides the cofactor, or the cofactor itself once p*p exceeds it.
+    A trial divisor past _TRIAL_DIVISION_CAP with p*p <= cofactor raises
+    ResourceLimitError instead, so whether n factors depends on n alone."""
     n = operator.index(n)
+    if n < 1:
+        raise DomainError(f"requires n >= 1, got {n}")
     spf = _open_table.get()
-    if not 1 <= n < len(spf):
-        if n < 1:
-            raise DomainError(f"requires n >= 1, got {n}")
-        primes, p, step = [], 2, 1
-        while p * p <= n:
-            if p > _TRIAL_DIVISION_CAP:
+    primes, p, step = [], 2, 1
+    while n > 1:
+        if n < len(spf):
+            p = spf[n]
+        else:
+            while p * p <= n and n % p and p <= _TRIAL_DIVISION_CAP:
+                p += step
+                step = 2 if p <= 5 else 6 - step  # 2, 3, 5, 7, 11, 13, ...
+            if p * p > n:
+                p = n
+            elif p > _TRIAL_DIVISION_CAP:
                 raise ResourceLimitError(
                     f"trial division bound exceeded: cofactor {n} has no prime factor"
                     f" <= {_TRIAL_DIVISION_CAP}"
                 )
-            if n % p == 0:
-                primes.append(p)
-                while n % p == 0:
-                    n //= p
-            p += step
-            step = 2 if p <= 5 else 6 - step  # 2, 3, 5, 7, 11, 13, ...
-        if n > 1:
-            primes.append(n)
-        return tuple(primes)
-    primes = []
-    while n > 1:
-        p = spf[n]
         primes.append(p)
         while n % p == 0:
             n //= p

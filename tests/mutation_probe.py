@@ -53,6 +53,20 @@ MUTANTS = (
         equivalent="10**7 = 4 (mod 6), so no trial divisor (2, 3, then 6k+-1) equals the cap",
     ),
     Mutant(
+        ARITH, "p <= _TRIAL_DIVISION_CAP:", "p < _TRIAL_DIVISION_CAP:", (),
+        equivalent="10**7 = 4 (mod 6), so no trial divisor (2, 3, then 6k+-1) equals the cap",
+    ),
+    Mutant(
+        ARITH, "while p * p <= n and", "while p * p < n and", (),
+        equivalent="p * p == n makes p divide n, which ends the search at the same p",
+    ),
+    Mutant(  # the table read one past its end
+        ARITH, "if n < len(spf):", "if n <= len(spf):", ("tests/test_arith.py",)
+    ),
+    Mutant(  # 25 comes out as a prime
+        ARITH, "if p * p > n:", "if p * p >= n:", ("tests/test_arith.py",)
+    ),
+    Mutant(
         ARITH, "if n > ENUMERATION_BOUND:", "if n >= ENUMERATION_BOUND:", ("tests/test_arith.py",)
     ),
     Mutant(

@@ -88,6 +88,8 @@ def test_trial_division_past_its_cap_is_refused(monkeypatch):
     monkeypatch.setattr(totdk.arith, "_TRIAL_DIVISION_CAP", 1000)
     with pytest.raises(ResourceLimitError, match="1000"):
         distinct_primes(1009 * 1013)
+    with Sieve(1000), pytest.raises(ResourceLimitError, match="1000"):
+        distinct_primes(1009 * 1013)  # a table below n does not lift the cap
     assert distinct_primes(997**2) == (997,)
     assert distinct_primes(997 * 1013) == (997, 1013)
 
@@ -397,6 +399,13 @@ def test_nested_sieve_scopes_read_the_innermost_and_restore_the_outer():
         distinct_primes(6)  # outer
     distinct_primes(6)  # no scope: trial division
     assert (outer.reads, inner.reads, small.reads) == (4, 2, 2)
+
+
+def test_a_cofactor_that_drops_into_the_table_is_read_from_it():
+    sieve = CountingSieve(100)
+    with sieve:
+        assert distinct_primes(194) == (2, 97)  # 2 by trial division, then 97 < 101
+    assert sieve.reads == 1
 
 
 def test_sieve_scope_is_local_to_its_thread():
