@@ -108,15 +108,13 @@ def coprime_residues(n: int) -> np.ndarray:
     numbers of [1, m], mask index i standing for 2i + 1.
     """
     n = operator.index(n)
-    if n < 1:
-        raise DomainError(f"totatives require n >= 1, got {n}")
     if n > ENUMERATION_BOUND:
         raise ResourceLimitError(
             f"totative enumeration bound exceeded: n={n} > {ENUMERATION_BOUND}"
         )
+    primes = distinct_primes(n)  # raises DomainError for n < 1
     import numpy as np
 
-    primes = distinct_primes(n)
     m = math.prod(primes)
     # empty + fill: np.ones' scalar copy costs about 1 us more per call.
     if m % 2:

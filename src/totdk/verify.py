@@ -137,14 +137,12 @@ def _suite_failures(suite: str, n: int, b_max: int) -> list[IdentityResult]:
 def _run_shard(args: tuple) -> tuple[int, list[IdentityResult]]:
     """Check the blocks of _BLOCK n that start at first, first + stride, ... <= end."""
     suite, first, end, stride = args
-    ns = [
-        n for lo in range(first, end + 1, stride) for n in range(lo, min(lo + _BLOCK, end + 1))
-    ]
     checked, failures = 0, []
     with Sieve(end) if suite != "dedekind" else contextlib.nullcontext():
-        for n in ns:
-            failures.extend(_suite_failures(suite, n, end))
-            checked += 1
+        for lo in range(first, end + 1, stride):
+            for n in range(lo, min(lo + _BLOCK, end + 1)):
+                failures.extend(_suite_failures(suite, n, end))
+                checked += 1
     return checked, failures
 
 

@@ -97,6 +97,13 @@ MUTANTS = (
         BENCH, "depth, lo, hi = 0, 1, 2", "depth, lo, hi = 0, 2, 3", ("tests/test_bench.py",)
     ),
     Mutant(VERIFY, "if end > bound:", "if end >= bound:", ("tests/test_verify.py",)),
+    *(  # a shard's last block, or the last n of its blocks, left unchecked
+        Mutant(VERIFY, old, new, ("tests/test_verify.py",))
+        for old, new in (
+            ("range(first, end + 1, stride)", "range(first, end, stride)"),
+            ("min(lo + _BLOCK, end + 1)", "min(lo + _BLOCK, end)"),
+        )
+    ),
     Mutant(  # a one-shard run would fork a pool, and load its modules
         VERIFY, "if shards == 1:", "if shards < 1:", ("tests/test_imports.py",)
     ),

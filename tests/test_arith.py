@@ -48,10 +48,9 @@ def test_factorize_rejects_nonpositive():
     for bad in (0, -4):
         with pytest.raises(DomainError):
             distinct_primes(bad)
-    # coprime_residues' own guard: n = 0 would reach distinct_primes' message,
-    # and n = -3 numpy's "negative dimensions" ValueError
+    # coprime_residues refuses n < 1 through distinct_primes, before numpy runs
     for bad in (0, -3):
-        with pytest.raises(DomainError, match="totatives require n >= 1"):
+        with pytest.raises(DomainError, match="requires n >= 1"):
             coprime_residues(bad)
 
 

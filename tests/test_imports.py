@@ -41,12 +41,13 @@ for argv in json.loads(sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()) as out:
             main(argv)
         assert out.getvalue() == "1/18\\n", out.getvalue()
-try:
-    coprime_residues(ENUMERATION_BOUND + 1)
-    outcome = "returned"
-except Exception as exc:
-    outcome = type(exc).__name__
-steps.append(["coprime_residues(ENUMERATION_BOUND + 1)", outcome, loaded()])
+for bad in ("ENUMERATION_BOUND + 1", "0"):
+    try:
+        coprime_residues(eval(bad))
+        outcome = "returned"
+    except Exception as exc:
+        outcome = type(exc).__name__
+    steps.append([f"coprime_residues({bad})", outcome, loaded()])
 for workers in ("1", "2"):
     argv = ["verify", "--suite", "spence", "--from", "2", "--to", "20", "--workers", workers]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -92,6 +93,7 @@ def probe_steps():
         "import totdk, totdk.cli",
         *(" ".join(argv) for argv in NUMPY_FREE),
         "coprime_residues(ENUMERATION_BOUND + 1)",
+        "coprime_residues(0)",
         f"{spence} 1",
         f"{spence} 2",
     ]
@@ -99,10 +101,11 @@ def probe_steps():
 
 
 def test_only_array_builders_load_numpy(probe_steps):
-    *numpy_free, refused, solo, duo = probe_steps
+    *numpy_free, too_large, too_small, solo, duo = probe_steps
     for step, code, loaded in numpy_free:
         assert (code, "numpy" in loaded) == (0, False), step
-    assert (refused[1], "numpy" in refused[2]) == ("ResourceLimitError", False)
+    assert (too_large[1], "numpy" in too_large[2]) == ("ResourceLimitError", False)
+    assert (too_small[1], "numpy" in too_small[2]) == ("DomainError", False)
     assert (solo[1], "numpy" in solo[2]) == (0, True)
     assert (duo[1], "numpy" in duo[2]) == (0, True)
 

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -318,6 +319,21 @@ def test_checked_counts_the_n_each_shard_checked(monkeypatch, suite):
     report = run_suite(suite, 2, 31, workers=1)
     assert report.ok
     assert report.checked == calls == 30
+
+
+def test_a_shard_walks_its_blocks_without_a_list_of_its_n(monkeypatch):
+    # With the check and the table stubbed, the shard loop is all that
+    # allocates: a list of the 199999 n it was dealt would peak near 8 MB.
+    monkeypatch.setattr(totdk.verify, "_suite_failures", lambda suite, n, b_max: [])
+    monkeypatch.setattr(totdk.verify, "Sieve", lambda end: contextlib.nullcontext())
+    tracemalloc.start()
+    try:
+        outcome = totdk.verify._run_shard(("spence", 2, 200_000, 6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome == (199_999, [])
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize(
