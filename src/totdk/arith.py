@@ -2,13 +2,13 @@
 
 The chain needs no prime exponent, so `distinct_primes` is the package's only
 factorization: one loop divides the primes out of n, reading each from the
-smallest-prime-factor table of the open `with Sieve(limit):` scope while that
-covers the cofactor, else by trial division.  `Sieve` is internal:
-`verify._run_shard` opens one scope per shard.  From the primes follow the
-totatives as an int64 array and the square-free divisors with their Moebius
-weights, listed by prime bitmask.  The totatives are built from those of the
-radical m = rad(n): its reduced residues, sieved over the odd numbers only
-when n is even, tiled n/m times by m.
+smallest-prime-factor table of the open `with Sieve(limit):` scope (internal:
+one per verify shard) while that covers the cofactor, else by trial division.
+From the primes follow the square-free divisors with their Moebius weights,
+listed by prime bitmask, and the totatives as an int64 array, built from those
+of the radical m = rad(n): its reduced residues, sieved over the odd numbers
+only when n is even, tiled n/m times by m.  Spence's sum(j * a_j) takes the
+radical's alone and adds the n/m tiles in closed form.
 
 This is the package's one numpy module.  Every sum over the totatives is
 taken here, by the residue kernels, in int64 arithmetic (int32 for the
@@ -98,6 +98,15 @@ def squarefree_divisors_from(primes: Sequence[int]) -> list[tuple[int, int]]:
     return divs
 
 
+def _enumerable(n: int) -> int:
+    n = operator.index(n)
+    if n > ENUMERATION_BOUND:
+        raise ResourceLimitError(
+            f"totative enumeration bound exceeded: n={n} > {ENUMERATION_BOUND}"
+        )
+    return n
+
+
 def coprime_residues(n: int) -> np.ndarray:
     """Ascending int64 array of the totatives of n ((1,) for n = 1).
 
@@ -107,12 +116,7 @@ def coprime_residues(n: int) -> np.ndarray:
     [0, m]; an even m, whose residues are all odd, sieves only the odd
     numbers of [1, m], mask index i standing for 2i + 1.
     """
-    n = operator.index(n)
-    if n > ENUMERATION_BOUND:
-        raise ResourceLimitError(
-            f"totative enumeration bound exceeded: n={n} > {ENUMERATION_BOUND}"
-        )
-    primes = distinct_primes(n)  # raises DomainError for n < 1
+    primes = distinct_primes(_enumerable(n))  # raises DomainError for n < 1
     import numpy as np
 
     m = math.prod(primes)
@@ -151,18 +155,27 @@ def coprime_residues(n: int) -> np.ndarray:
 _ranks = None
 
 
-def _sum_j_aj(residues: np.ndarray) -> int:
+def _sum_j_aj(base: np.ndarray, m: int, tiles: int) -> int:
+    """sum(j * a_j) over the ascending a_j = b_i + m*s (s < tiles) of residues
+    b_1 < ... < b_f in [0, m); by the tiling lemma these are U(n) when base is
+    U(m), m = rad(n), tiles = n/m.  Python ints add the tiles to J = sum(i*b_i):
+    tiles*J + f*B*S1 + m*f^2*S2 + m*f(f+1)/2*S1, B = sum(b_i), S1 = sum(s), S2 = sum(s^2)."""
     global _ranks
-    length = len(residues)
+    f = len(base)
     ranks = _ranks
-    if ranks is None or len(ranks) < length:
+    if ranks is None or len(ranks) < f:
         import numpy as np
 
-        size = 1 << (length - 1).bit_length()
+        size = 1 << (f - 1).bit_length()
         ranks = np.arange(1, size + 1, dtype=np.int64)
         ranks.flags.writeable = False
         _ranks = ranks
-    return int(ranks[:length] @ residues)
+    j_sum = int(ranks[:f] @ base)
+    if tiles == 1:
+        return j_sum
+    s1, s2 = tiles * (tiles - 1) // 2, (tiles - 1) * tiles * (2 * tiles - 1) // 6
+    tiled = f * int(base.sum()) * s1 + m * f * f * s2 + m * (f * (f + 1) // 2) * s1
+    return tiles * j_sum + tiled
 
 
 # Elements of one divmod block in _theta_nu_sums, which holds
@@ -216,7 +229,7 @@ class Sieve:
     def __init__(self, limit: int):
         import numpy as np
 
-        spf = np.arange(limit + 1)
+        spf = np.arange(limit + 1, dtype=np.int32)  # limit <= ENUMERATION_BOUND < 2**31
         # Descending p, so the smallest prime factor of j is the last write to spf[j].
         for p in range(math.isqrt(limit), 1, -1):
             spf[p * p :: p] = p

@@ -3,8 +3,9 @@
 Spence's formula gives a closed form for sum(j * a_j) where a_1 < ... <
 a_phi(n) are the totatives of n.  Its proof decomposes into a short chain
 of exact identities; this module computes both sides of every link — a
-brute-force side that enumerates the totative set and a closed-form or
-Dedekind-sum side — so the chain is machine-checkable up to ENUMERATION_BOUND.
+brute-force side over the totatives (for Spence's sum, the radical's, tiled in
+closed form) and a closed-form or Dedekind-sum side — so the chain is
+machine-checkable up to ENUMERATION_BOUND.
 The brute-force sums over the totatives come from the residue kernels of
 totdk.arith, which return Python ints; this module computes in ints and
 Fractions alone.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import _sum_j_aj, _sum_squares, _theta_nu_sums
+from .arith import _enumerable, _sum_j_aj, _sum_squares, _theta_nu_sums
 from .arith import coprime_residues, distinct_primes, squarefree_divisors_from
 # dedekind_fast is not called here; perfbench/tracing.py wraps this module's name.
 from .dedekind import _closed_form, dedekind_fast  # noqa: F401
@@ -97,9 +98,10 @@ def nu(n: int, x: Fraction | int) -> Fraction:
 
 
 def sum_j_aj_bruteforce(n: int) -> int:
-    """sum(j * a_j) over the ascending totatives of n, by direct enumeration."""
-    n = _require_n_ge_2(n)
-    return _sum_j_aj(coprime_residues(n))
+    """sum(j * a_j) over the ascending totatives of n, tiled from its radical's."""
+    n = _enumerable(_require_n_ge_2(n))
+    m = math.prod(distinct_primes(n))
+    return _sum_j_aj(coprime_residues(m), m, n // m)
 
 
 def _closed_forms(n: int) -> tuple[tuple[int, ...], int, int, int, int]:
@@ -213,7 +215,7 @@ def verify_chain(n: int) -> list[IdentityResult]:
 
     # Every link is (lhs numerator, lhs denominator, rhs numerator, rhs
     # denominator) in integers and matches when the cross products agree.
-    jaj = _sum_j_aj(residues)
+    jaj = _sum_j_aj(residues, n, 1)
     theta_sum, nu_numerator = _theta_nu_sums(residues, pairs, n)
     sum_sq = _sum_squares(residues)
     s_num, s_den = s_double_sum(n).as_integer_ratio()

@@ -3,7 +3,7 @@
 A suite maps each n of a range to a list of exact identity checks, all run
 for one n by `_suite_failures`:
 
-  spence    the formula itself: brute-force rank-weighted sum vs closed form
+  spence    the formula itself: rank-weighted sum over U(rad n), tiled, vs closed form
   chain     all links of the proof chain (see spence.verify_chain)
   dedekind  fast evaluator vs naive O(a) oracle, for a = n and b = 1..range end
 

@@ -154,6 +154,24 @@ MUTANTS = (
             ("base += 1", "base -= 1"),
         )
     ),
+    *(  # the tile algebra of sum(j * a_j): S1 and S2 swapped, a lost f, a lost tiles
+        Mutant(ARITH, old, new, ("tests/test_arith.py",))
+        for old, new in (
+            (
+                "tiles * (tiles - 1) // 2, (tiles - 1) * tiles * (2 * tiles - 1) // 6",
+                "(tiles - 1) * tiles * (2 * tiles - 1) // 6, tiles * (tiles - 1) // 2",
+            ),
+            ("m * f * f * s2", "m * f * s2"),
+            ("return tiles * j_sum + tiled", "return j_sum + tiled"),
+            ("f * int(base.sum()) * s1", "int(base.sum()) * s1"),
+        )
+    ),
+    Mutant(  # 2**21 tiles the one totative of 2 past the bound
+        SPENCE,
+        "n = _enumerable(_require_n_ge_2(n))",
+        "n = _require_n_ge_2(n)",
+        ("tests/test_spence.py",),
+    ),
     Mutant(  # totatives past 2**15 wrap in the theta/nu divmod
         ARITH, "residues.astype(np.int32)", "residues.astype(np.int16)", ("tests/test_arith.py",)
     ),

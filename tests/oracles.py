@@ -154,6 +154,13 @@ def delange_double_sum(n: int) -> Fraction:
     return Fraction(numerator, n * n)
 
 
+def sum_j_aj_by_gcd(n: int) -> int:
+    """sum(j * a_j) over the ascending a in [1, n] with gcd(a, n) = 1, in pure
+    Python: no residue array and no tiling of the radical's totatives."""
+    totatives = (a for a in range(1, n + 1) if math.gcd(a, n) == 1)
+    return sum(j * a for j, a in enumerate(totatives, start=1))
+
+
 def sum_squares_totatives_bruteforce(n: int) -> int:
     """sum(a^2) over U(n) by direct enumeration; twin oracle of the closed form."""
     _require_n_ge_2(n)

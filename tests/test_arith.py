@@ -4,6 +4,7 @@ and the int64 residue kernels over them."""
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ def fresh_ranks(monkeypatch):
 
 
 def test_rank_vector_is_read_only(fresh_ranks):
-    assert _sum_j_aj(coprime_residues(1000)) == spence_closed_form(1000)
+    assert _sum_j_aj(coprime_residues(1000), 1000, 1) == spence_closed_form(1000)
     ranks = totdk.arith._ranks
     assert len(ranks) >= totient(1000)
     with pytest.raises(ValueError):
@@ -304,8 +305,8 @@ def test_empty_residues_sum_to_the_int_zero(fresh_ranks, built):
     # whether the vector is unbuilt, one rank long or longer, an empty array
     # takes an int64 product, never a float one
     if built:
-        _sum_j_aj(np.arange(1, built + 1, dtype=np.int64))
-    total = _sum_j_aj(np.empty(0, dtype=np.int64))
+        _sum_j_aj(np.arange(1, built + 1, dtype=np.int64), built + 1, 1)
+    total = _sum_j_aj(np.empty(0, dtype=np.int64), 1, 1)
     assert type(total) is int and total == 0
     assert totdk.arith._ranks.dtype == np.int64
 
@@ -317,10 +318,23 @@ def test_sum_j_aj_exact_around_each_doubling_point(fresh_ranks):
     values = np.random.default_rng(6).integers(0, 2**20, lengths[-1], dtype=np.int64)
     running = list(itertools.accumulate(j * a for j, a in enumerate(values.tolist(), 1)))
     for length in lengths:  # the vector grows at each doubling point
-        assert _sum_j_aj(values[:length]) == running[length - 1]
+        assert _sum_j_aj(values[:length], 2**20, 1) == running[length - 1]
         assert len(totdk.arith._ranks) >= length
     for length in reversed(lengths):  # prefix views of the grown vector
-        assert _sum_j_aj(values[:length]) == running[length - 1]
+        assert _sum_j_aj(values[:length], 2**20, 1) == running[length - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300).flatmap(
+    lambda m: st.tuples(st.just(m), st.sets(st.integers(0, m - 1)), st.integers(1, 400))
+))
+def test_sum_j_aj_sums_any_base_tiled_by_m(case):
+    # the tile algebra holds for any ascending residues in [0, m), not only U(m)
+    m, members, tiles = case
+    base = sorted(members)
+    tiled = [b + m * s for s in range(tiles) for b in base]
+    expected = sum(j * a for j, a in enumerate(tiled, start=1))
+    assert _sum_j_aj(np.array(base, dtype=np.int64), m, tiles) == expected
 
 
 # ---------------------------------------------------------------------- sieve
@@ -338,6 +352,19 @@ def test_sieve_agrees_with_direct_functions():
 @pytest.mark.parametrize("limit", [*range(1, 11), 10_000, 100_001])
 def test_sieve_table_equals_the_list_sieve(limit):
     assert Sieve(limit)._spf == smallest_prime_factor_table(limit)
+
+
+def test_sieve_table_at_the_bound_is_built_in_int32():
+    # An int32 build array (4 B per entry) is alive next to the table; an
+    # int64 one (8 B) would push the peak 8 MB higher.
+    tracemalloc.start()
+    try:
+        sieve = Sieve(ENUMERATION_BOUND)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < 6 * ENUMERATION_BOUND
+    assert sieve._spf == smallest_prime_factor_table(ENUMERATION_BOUND)
 
 
 def test_sieve_range_checks():

@@ -18,6 +18,7 @@ from oracles import (
     moebius,
     nu_weighted_sum_bruteforce,
     sawtooth,
+    sum_j_aj_by_gcd,
     sum_squares_totatives_bruteforce,
     totient,
 )
@@ -180,6 +181,18 @@ def test_spence_brute_force_definition():
         assert spence_closed_form(n) == expected
 
 
+def test_bruteforce_matches_a_gcd_enumeration():
+    # an oracle that never tiles the radical's totatives
+    for n in range(2, 3001):
+        assert sum_j_aj_bruteforce(n) == sum_j_aj_by_gcd(n)
+
+
+@pytest.mark.parametrize("n", [2**20, 3**13, 2**10 * 3**6, 1_999_998, 2 * 10**6])
+def test_bruteforce_exact_at_heavily_tiled_n(n):
+    # 2**20 is the one totative of 2 tiled 2**19 times; 2 * 10**6 = 2**7 * 5**6
+    assert sum_j_aj_bruteforce(n) == spence_closed_form(n)
+
+
 def test_spence_rejects_n_1():
     with pytest.raises(DomainError):
         sum_j_aj_bruteforce(1)
@@ -197,9 +210,11 @@ def test_spence_rejects_n_1():
     ],
 )
 def test_bruteforce_refuses_past_the_enumeration_bound(brute):
-    # past the bound the int64 reductions could overflow silently
-    with pytest.raises(ResourceLimitError):
-        brute(ENUMERATION_BOUND + 1)
+    # past the bound the int64 reductions could overflow silently; 2**21 and
+    # 2 * 3**13 are refused although their radicals are far below it
+    for n in (ENUMERATION_BOUND + 1, 2**21, 2 * 3**13):
+        with pytest.raises(ResourceLimitError):
+            brute(n)
 
 
 @pytest.mark.parametrize("n", [1_999_993, 1_531_530])
