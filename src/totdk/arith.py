@@ -12,14 +12,14 @@ radical's alone and adds the n/m tiles in closed form.
 
 This is the package's one numpy module.  Every sum over the totatives is
 taken here, by the residue kernels, in int64 arithmetic (int32 for the
-theta/nu divmod) that the bound of `coprime_residues` keeps exact (see
-ENUMERATION_BOUND); `totdk.spence` passes them the array and reads back
-Python ints, nu's sum as a numerator over n, which every square-free divisor
-of n divides.  numpy is imported only inside the functions that build
-arrays: `coprime_residues` (after its bound check), `Sieve`, the rank
-vector's first build and the theta/nu divmod.  Importing this module,
-calling `distinct_primes` or `squarefree_divisors_from`, and a call that a
-bound refuses leave numpy unloaded.
+theta/nu divmod, whose d = 1 row also gives sum(a^2)) that the bound of
+`coprime_residues` keeps exact (see ENUMERATION_BOUND); `totdk.spence` passes
+them the array and reads back Python ints, nu's sum as a numerator over n,
+which every square-free divisor of n divides.  numpy is imported only inside
+the functions that build arrays: `coprime_residues` (after its bound check),
+`Sieve`, the rank vector's first build and the theta/nu divmod.  Importing
+this module, calling `distinct_primes` or `squarefree_divisors_from`, and a
+call that a bound refuses leave numpy unloaded.
 """
 
 from __future__ import annotations
@@ -185,15 +185,17 @@ def _sum_j_aj(base: np.ndarray, m: int, tiles: int) -> int:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _theta_nu_sums(residues: np.ndarray, pairs: list[tuple[int, int]], n: int) -> tuple[int, int]:
-    """(sum(theta(n, a) * a), n * sum(nu(n, a) * a)) over U(n), from the
-    square-free divisors of n with their Moebius weights, `pairs`.
+def _theta_nu_sums(
+    residues: np.ndarray, pairs: list[tuple[int, int]], n: int
+) -> tuple[int, int, int]:
+    """(sum(a^2), sum(theta(n, a) * a), n * sum(nu(n, a) * a)) over U(n), from
+    `pairs`, the square-free divisors d of n with their Moebius weights mu.
 
-    floor(a/d) and a mod d come from one int32 divmod over a block of divisor
-    rows, exact since n < 2**31, then two mat-vec products against the int64
-    residues, which promote them to int64; the Moebius weights, and n/d, which
-    puts frac(a/d) = (a mod d)/d over n, which every d divides, apply in
-    Python ints.
+    One int32 divmod over a block of divisor rows, exact since n < 2**31, gives
+    floor(a/d) and a mod d; two mat-vec products with the int64 residues sum
+    them times a, in int64.  pairs[0] is (1, 1), as in `squarefree_divisors_from`,
+    so row 0's floor sum is sum(a^2).  Python ints weight row d by mu, and its
+    remainder sum also by n/d, which puts frac(a/d) = (a mod d)/d over n.
     """
     import numpy as np
 
@@ -201,19 +203,14 @@ def _theta_nu_sums(residues: np.ndarray, pairs: list[tuple[int, int]], n: int) -
     narrow = residues.astype(np.int32)
     ds = np.array([d for d, _ in pairs], dtype=np.int32)
     rows = max(1, _BLOCK_ELEMENTS // max(len(residues), 1))
-    theta_weighted = nu_numerator = 0
+    floor_sums, rem_sums = [], []
     for lo in range(0, len(pairs), rows):
         floors, rems = np.divmod(narrow, ds[lo : lo + rows, None])
-        for (d, mu), f, r in zip(
-            pairs[lo : lo + rows], (floors @ residues).tolist(), (rems @ residues).tolist()
-        ):
-            theta_weighted += mu * f
-            nu_numerator += mu * (n // d) * r
-    return theta_weighted, nu_numerator
-
-
-def _sum_squares(residues: np.ndarray) -> int:
-    return int(residues @ residues)
+        floor_sums += (floors @ residues).tolist()
+        rem_sums += (rems @ residues).tolist()
+    theta_weighted = sum(mu * f for (_, mu), f in zip(pairs, floor_sums))
+    nu_numerator = sum(mu * (n // d) * r for (d, mu), r in zip(pairs, rem_sums))
+    return floor_sums[0], theta_weighted, nu_numerator
 
 
 class Sieve:

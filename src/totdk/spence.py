@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import _enumerable, _sum_j_aj, _sum_squares, _theta_nu_sums
+from .arith import _enumerable, _sum_j_aj, _theta_nu_sums
 from .arith import coprime_residues, distinct_primes, squarefree_divisors_from
 # dedekind_fast is not called here; perfbench/tracing.py wraps this module's name.
 from .dedekind import _closed_form, dedekind_fast  # noqa: F401
@@ -204,8 +204,8 @@ def verify_chain(n: int) -> list[IdentityResult]:
       delange_product      gcd double sum vs 2^omega(n)*phi(n)/n
       spence_formula       sum(j * a_j) vs the full closed form
 
-    The square-free divisors of n, built once from _closed_forms' primes, feed
-    the theta/nu kernel and the Delange sum; nu's sum is over n, not the radical.
+    The square-free divisors of n, from _closed_forms' primes, feed Delange's
+    sum and the theta/nu kernel, which gives sum(a^2) too, with nu over n.
     """
     n = _require_n_ge_2(n)
     primes, spence24, sum_sq6, s24, delange_n = _closed_forms(n)
@@ -216,8 +216,7 @@ def verify_chain(n: int) -> list[IdentityResult]:
     # Every link is (lhs numerator, lhs denominator, rhs numerator, rhs
     # denominator) in integers and matches when the cross products agree.
     jaj = _sum_j_aj(residues, n, 1)
-    theta_sum, nu_numerator = _theta_nu_sums(residues, pairs, n)
-    sum_sq = _sum_squares(residues)
+    sum_sq, theta_sum, nu_numerator = _theta_nu_sums(residues, pairs, n)
     s_num, s_den = s_double_sum(n).as_integer_ratio()
     # The Delange summand is symmetric in (d1, d2): twice the unordered pairs
     # d1 != d2, plus the diagonal, with weights mu(d) * d and mu(d)^2 = 1.

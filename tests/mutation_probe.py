@@ -175,6 +175,12 @@ MUTANTS = (
     Mutant(  # totatives past 2**15 wrap in the theta/nu divmod
         ARITH, "residues.astype(np.int32)", "residues.astype(np.int16)", ("tests/test_arith.py",)
     ),
+    Mutant(  # sum(a^2) read from the last divisor row, not from d = 1's
+        ARITH,
+        "return floor_sums[0],",
+        "return floor_sums[-1],",
+        ("tests/test_chain_reference.py", "tests/test_arith.py"),
+    ),
     Mutant(  # equal values; only the unused-private-name test sees _BLOCK_ELEMENTS go
         ARITH,
         "rows = max(1, _BLOCK_ELEMENTS // max(len(residues), 1))",

@@ -185,4 +185,4 @@ def nu_weighted_sum_bruteforce(n: int) -> Fraction:
     production theta/nu kernel `_theta_nu_sums`, not by enumerating nu(n, a)."""
     _require_n_ge_2(n)
     pairs = squarefree_divisors_from(distinct_primes(n))
-    return Fraction(_theta_nu_sums(coprime_residues(n), pairs, n)[1], n)
+    return Fraction(_theta_nu_sums(coprime_residues(n), pairs, n)[2], n)

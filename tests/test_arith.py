@@ -253,7 +253,8 @@ def test_enumeration_bound_is_enforced():
 
 
 def theta_nu_sums_reference(n, pairs):
-    """_theta_nu_sums in Python ints: divmod of every totative by every d."""
+    """_theta_nu_sums in Python ints: sum(a^2), then divmod of every totative
+    by every d."""
     residues = coprime_residues(n).tolist()
     theta_weighted = nu_numerator = 0
     for d, mu in pairs:
@@ -261,15 +262,18 @@ def theta_nu_sums_reference(n, pairs):
             f, r = divmod(a, d)
             theta_weighted += mu * f * a
             nu_numerator += mu * (n // d) * r * a
-    return theta_weighted, nu_numerator
+    return sum(a * a for a in residues), theta_weighted, nu_numerator
 
 
-# All 64 square-free divisors of 30030 = 2*3*5*7*11*13, and the four largest of
-# 1531530 = 3 * 510510, whose totatives pass 2**15.
-@pytest.mark.parametrize("n,largest", [(30030, 64), (1_531_530, 4)])
-def test_theta_nu_sums_match_python_divmod(n, largest):
-    pairs = sorted(squarefree_divisors_from(distinct_primes(n)))[-largest:]
-    assert len(pairs) == largest
+# Each list of `count` pairs starts with (1, 1), whose row gives sum(a^2): all 64
+# square-free divisors of 30030 = 2*3*5*7*11*13, 6 blocks of 11 rows; and (1, 1)
+# with the three largest of 1531530 = 3 * 510510, whose totatives pass 2**15, so
+# a block holds one row.
+@pytest.mark.parametrize("n,count", [(30030, 64), (1_531_530, 4)])
+def test_theta_nu_sums_match_python_divmod(n, count):
+    pairs = sorted(squarefree_divisors_from(distinct_primes(n)))
+    pairs = [pairs[0], *pairs[1 - count :]]
+    assert pairs[0] == (1, 1) and len(set(pairs)) == count
     expected = theta_nu_sums_reference(n, pairs)
     assert _theta_nu_sums(coprime_residues(n), pairs, n) == expected
 
